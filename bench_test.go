@@ -224,11 +224,10 @@ func BenchmarkAblationDTU(b *testing.B) {
 	for _, dtus := range []int{1, 2, 4, 8, 16} {
 		dtus := dtus
 		b.Run(fmt.Sprintf("pathfinder/EVE-4/dtus-%d", dtus), func(b *testing.B) {
-			cfg := eve.DefaultConfig(4)
-			cfg.DTUs = dtus
+			cfg := sim.Config{Kind: sim.SysO3EVE, N: 4, DTUs: dtus}
 			var r sim.Result
 			for i := 0; i < b.N; i++ {
-				r = sim.RunEVE(cfg, nil, k)
+				r = sim.Run(cfg, k)
 			}
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -247,10 +246,10 @@ func BenchmarkAblationMSHR(b *testing.B) {
 		b.Run(fmt.Sprintf("backprop/EVE-8/llc-mshrs-%d", mshrs), func(b *testing.B) {
 			llc := mem.LLCConfig
 			llc.MSHRs = mshrs
+			cfg := sim.Config{Kind: sim.SysO3EVE, N: 8, Mem: &sim.MemParams{LLC: llc}}
 			var r sim.Result
 			for i := 0; i < b.N; i++ {
-				h := mem.NewHierarchyCfg(mem.L1DConfig, mem.L2Config, llc)
-				r = sim.RunEVE(eve.DefaultConfig(8), h, k)
+				r = sim.Run(cfg, k)
 			}
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -268,11 +267,10 @@ func BenchmarkAblationVL(b *testing.B) {
 	for _, arrays := range []int{8, 16, 32} {
 		arrays := arrays
 		b.Run(fmt.Sprintf("vvadd/EVE-8/arrays-%d", arrays), func(b *testing.B) {
-			cfg := eve.DefaultConfig(8)
-			cfg.Arrays = arrays
+			cfg := sim.Config{Kind: sim.SysO3EVE, N: 8, Arrays: arrays}
 			var r sim.Result
 			for i := 0; i < b.N; i++ {
-				r = sim.RunEVE(cfg, nil, k)
+				r = sim.Run(cfg, k)
 			}
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -410,10 +408,10 @@ func BenchmarkCMPContention(b *testing.B) {
 	for _, co := range []int{0, 1, 2, 3} {
 		co := co
 		b.Run(fmt.Sprintf("vvadd/EVE-8/co-runners-%d", co), func(b *testing.B) {
+			cfg := sim.Config{Kind: sim.SysO3EVE, N: 8, Mem: &sim.MemParams{CoRunners: co}}
 			var r sim.Result
 			for i := 0; i < b.N; i++ {
-				h := mem.NewContendedHierarchy(co, 300)
-				r = sim.RunEVE(eve.DefaultConfig(8), h, k)
+				r = sim.Run(cfg, k)
 			}
 			if r.Err != nil {
 				b.Fatal(r.Err)

@@ -9,7 +9,10 @@
 //     returns cycles, speedups and EVE's execution-time breakdown.
 //   - NewMachine builds a machine you can program directly with RVV-style
 //     vector intrinsics (strip-mined against the machine's hardware vector
-//     length) and then Finish to obtain the timing.
+//     length) and then Finish to obtain the timing. Finish returns the same
+//     Result as Simulate — cycles, breakdown, Stats/Snapshot and, for a
+//     system built WithIntervals, Intervals — because both entry points run
+//     on one system assembler.
 //   - The analytical entry points (AreaOverhead, CycleTimeNS, Fig2Sweep)
 //     expose the paper's circuit-evaluation models.
 //
@@ -21,7 +24,6 @@ import (
 
 	"repro/internal/analytic"
 	ieve "repro/internal/eve"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -140,7 +142,8 @@ type Result struct {
 	DynamicInstrs uint64
 	TotalOps      uint64
 	VectorPct     float64
-	// Breakdown is non-nil for EVE systems (Fig 7 categories).
+	// Breakdown is non-nil for EVE systems that ran vector code (Fig 7
+	// categories).
 	Breakdown Breakdown
 	// VMUStallFraction is Fig 8's metric (EVE systems).
 	VMUStallFraction float64
@@ -275,16 +278,8 @@ func Fig2Sweep() []Fig2Point {
 }
 
 // HardwareVL reports the hardware vector length of an EVE-n built from half
-// a 512 KB L2 (Table III).
+// a 512 KB L2 (Table III). A capacity query never touches memory, so the
+// engine gets no memory level.
 func HardwareVL(n int) int {
-	m := ieve.New(ieve.DefaultConfig(n), nullLevel{})
-	return m.HWVL()
+	return ieve.New(ieve.DefaultConfig(n), nil).HWVL()
 }
-
-// nullLevel satisfies the memory interface for capacity queries only.
-type nullLevel struct{}
-
-func (nullLevel) Access(addr uint64, write bool, t int64) mem.Result {
-	panic("eve: capacity-only engine accessed memory")
-}
-func (nullLevel) Name() string { return "null" }

@@ -102,10 +102,11 @@ func TestBenchmarkRegistry(t *testing.T) {
 }
 
 // TestMachineCustomProgram runs a SAXPY-style custom program on EVE-8 and
-// validates results and timing plumbing end to end through the public API.
+// validates results, timing and observability plumbing end to end through
+// the public API.
 func TestMachineCustomProgram(t *testing.T) {
 	const n = 5000
-	m := NewMachine(EVE(8), 1<<22)
+	m := NewMachine(EVE(8).WithIntervals(1000), 1<<22)
 	x := m.AllocWords(n)
 	y := m.AllocWords(n)
 	for i := 0; i < n; i++ {
@@ -124,6 +125,9 @@ func TestMachineCustomProgram(t *testing.T) {
 		i += vl
 	}
 	m.Fence()
+	if got := m.ScalarLoad(y); got != 0 {
+		t.Fatalf("scalar readback of y[0] = %d, want 0", got)
+	}
 	res := m.Finish()
 	for i := 0; i < n; i++ {
 		want := uint32(2*i + a*i)
@@ -136,6 +140,15 @@ func TestMachineCustomProgram(t *testing.T) {
 	}
 	if res.SpawnCost != 0 {
 		t.Errorf("cold-cache spawn should be free, got %d", res.SpawnCost)
+	}
+	if res.Intervals == nil {
+		t.Error("WithIntervals machine returned no interval series")
+	}
+	if len(res.Snapshot) == 0 || len(res.Stats) == 0 {
+		t.Fatal("machine result carries no stats snapshot")
+	}
+	if d := res.Derived(); d.L1D.Accesses == 0 {
+		t.Errorf("derived L1D accesses = 0 after a scalar load: %+v", d.L1D)
 	}
 }
 

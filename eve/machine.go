@@ -1,30 +1,23 @@
 package eve
 
 import (
-	"fmt"
-
-	"repro/internal/cpu"
-	ieve "repro/internal/eve"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/vengine"
+	"repro/internal/sim"
 )
 
 // Machine is a directly programmable simulated system: allocate and fill
 // memory, issue RVV-style vector intrinsics strip-mined against HWVL, and
 // call Finish for the cycle count. Each intrinsic executes functionally
 // right away (reads of memory or registers observe program order), while
-// timing accumulates in the background models.
+// timing accumulates in the background models. The system is assembled
+// exactly as Simulate assembles it, so the same program costs the same
+// cycles through either entry point; an EVE engine spawns at the first
+// vector intrinsic (§V-E).
 type Machine struct {
-	sys      System
-	flat     *mem.Flat
-	hier     *mem.Hierarchy
-	core     *cpu.Core
-	engine   vengine.Engine
-	eveEng   *ieve.Engine
-	b        *isa.Builder
-	spawned  bool
-	finished bool
+	sys System
+	sim *sim.System
+	b   *isa.Builder
 }
 
 // NewMachine builds a machine with the given memory capacity in bytes
@@ -33,68 +26,8 @@ func NewMachine(s System, memBytes int) *Machine {
 	if memBytes < 1<<20 {
 		memBytes = 1 << 20
 	}
-	m := &Machine{sys: s, flat: mem.NewFlat(memBytes), hier: mem.NewHierarchy()}
-	coreCfg := cpu.O3Config
-	if s.kind == IO.kind {
-		coreCfg = cpu.IOConfig
-	}
-	m.core = cpu.New(coreCfg, m.hier)
-	hwvl := 1
-	switch {
-	case s.kind == IO.kind || s.kind == O3.kind:
-		// Scalar-only machine; vector intrinsics are rejected.
-	case s.kind == O3IV.kind:
-		m.engine = vengine.NewIV(m.core)
-		hwvl = vengine.IVHWVL
-	case s.kind == O3DV.kind:
-		m.engine = vengine.NewDV(vengine.DefaultDVConfig(), m.hier.L2)
-		hwvl = m.engine.HWVL()
-	default:
-		m.eveEng = ieve.New(ieve.DefaultConfig(s.n), m.hier.LLC)
-		m.engine = m.eveEng
-		hwvl = m.eveEng.HWVL()
-	}
-	m.b = isa.NewBuilder(m.flat, hwvl, machineSink{m})
-	return m
-}
-
-// spawnIfNeeded realizes EVE's ephemerality: the engine materializes out of
-// the L2's ways when the first vector instruction arrives, paying the
-// way-partition invalidation cost of whatever the scalar code left resident
-// (§V-E).
-func (m *Machine) spawnIfNeeded() {
-	if m.eveEng != nil && !m.spawned {
-		m.spawned = true
-		cost := m.hier.SpawnEVE()
-		m.eveEng.Spawn(cost, m.core.Now(), m.hier.L2.Ways()-m.hier.L2.ActiveWays())
-	}
-}
-
-type machineSink struct{ m *Machine }
-
-func (s machineSink) Emit(ev isa.Event) {
-	m := s.m
-	if m.finished {
-		panic("eve: machine used after Finish")
-	}
-	switch ev.Kind {
-	case isa.EvScalar:
-		m.core.Ops(ev.N)
-	case isa.EvScalarMul:
-		m.core.Muls(ev.N)
-	case isa.EvLoad:
-		m.core.Load(ev.Addr)
-	case isa.EvStore:
-		m.core.Store(ev.Addr)
-	case isa.EvVector:
-		if m.engine == nil {
-			panic(fmt.Sprintf("eve: vector instruction %v on scalar system %s", ev.V.Op, m.sys.Name()))
-		}
-		m.spawnIfNeeded()
-		if block := m.engine.Handle(ev.V, m.core.Now()); block > 0 {
-			m.core.AdvanceTo(block)
-		}
-	}
+	ss := sim.NewSystem(s.config(), mem.NewFlat(memBytes))
+	return &Machine{sys: s, sim: ss, b: ss.Builder()}
 }
 
 // System reports the machine's configuration.
@@ -103,53 +36,26 @@ func (m *Machine) System() System { return m.sys }
 // HWVL reports the hardware vector length vector intrinsics strip against.
 func (m *Machine) HWVL() int { return m.b.HWVL() }
 
-// Finish drains all in-flight work and returns the result. The machine must
-// not be used afterwards.
+// Finish drains all in-flight work and returns the result, including the
+// stats snapshot and, for a system built WithIntervals, the interval
+// series. The machine must not be used afterwards.
 func (m *Machine) Finish() Result {
-	cycles := m.core.Now()
-	if m.engine != nil {
-		if d := m.engine.Drain(); d > cycles {
-			cycles = d
-		}
-	}
-	// Lifecycle symmetry with sim.run: a spawned engine hands its borrowed
-	// ways back once everything has drained.
-	if m.eveEng != nil && m.spawned {
-		m.hier.TeardownEVE()
-		m.eveEng.Teardown(cycles)
-	}
-	m.finished = true
-	r := Result{
-		System:        m.sys.Name(),
-		Kernel:        "custom",
-		Cycles:        cycles,
-		DynamicInstrs: m.b.Mix().DynamicInstrs(),
-		TotalOps:      m.b.Mix().TotalOps(),
-		VectorPct:     m.b.Mix().VectorPct(),
-	}
-	if m.eveEng != nil {
-		r.Breakdown = Breakdown{}
-		bd := m.eveEng.Breakdown()
-		for c := ieve.Category(0); c < ieve.NumCategories; c++ {
-			r.Breakdown[c.String()] = bd[c]
-		}
-		r.VMUStallFraction = m.eveEng.VMUIssueStallFraction()
-		r.SpawnCost = m.eveEng.SpawnCost()
-	}
-	return r
+	r := m.sim.Finish()
+	r.Kernel = "custom"
+	return fromSimResult(r)
 }
 
 // Memory management. Addresses are byte addresses into the machine's flat
 // memory; words are 32-bit little-endian.
 
 // AllocWords reserves n 32-bit words and returns the base address.
-func (m *Machine) AllocWords(n int) uint64 { return m.flat.AllocU32(n) }
+func (m *Machine) AllocWords(n int) uint64 { return m.b.Mem.AllocU32(n) }
 
 // WriteWord initializes memory without simulating an access (input setup).
-func (m *Machine) WriteWord(addr uint64, v uint32) { m.flat.StoreU32(addr, v) }
+func (m *Machine) WriteWord(addr uint64, v uint32) { m.b.Mem.StoreU32(addr, v) }
 
 // ReadWord inspects memory without simulating an access (output readback).
-func (m *Machine) ReadWord(addr uint64) uint32 { return m.flat.LoadU32(addr) }
+func (m *Machine) ReadWord(addr uint64) uint32 { return m.b.Mem.LoadU32(addr) }
 
 // Scalar-side program events: the loop control and scalar memory traffic
 // around the vector code.

@@ -59,19 +59,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-
-// NewContendedHierarchy builds the Table III memory system with co-running
-// cores' bandwidth pressure injected between the LLC and DRAM. Each
-// co-runner contributes linesPer1K synthetic lines per 1000 cycles — a
-// streaming-kernel co-runner at full DRAM tilt is ~300.
-func NewContendedHierarchy(coRunners, linesPer1K int) *Hierarchy {
-	dram := DefaultDRAM()
-	var lower Level = dram
-	if coRunners > 0 {
-		lower = NewTrafficGenerator(dram, coRunners*linesPer1K)
-	}
-	llc := NewCache(LLCConfig, lower)
-	l2 := NewCache(L2Config, llc)
-	l1d := NewCache(L1DConfig, l2)
-	return &Hierarchy{L1D: l1d, L2: l2, LLC: llc, DRAM: dram}
-}

@@ -23,17 +23,11 @@ var (
 
 // NewHierarchy builds the Table III memory system.
 func NewHierarchy() *Hierarchy {
-	return NewHierarchyCfg(L1DConfig, L2Config, LLCConfig)
-}
-
-// NewHierarchyCfg builds a hierarchy with custom cache parameters (ablation
-// studies; the defaults are Table III's).
-func NewHierarchyCfg(l1d, l2c, llc CacheConfig) *Hierarchy {
 	dram := DefaultDRAM()
-	llcC := NewCache(llc, dram)
-	l2C := NewCache(l2c, llcC)
-	l1dC := NewCache(l1d, l2C)
-	return &Hierarchy{L1D: l1dC, L2: l2C, LLC: llcC, DRAM: dram}
+	llc := NewCache(LLCConfig, dram)
+	l2 := NewCache(L2Config, llc)
+	l1d := NewCache(L1DConfig, l2)
+	return &Hierarchy{L1D: l1d, L2: l2, LLC: llc, DRAM: dram}
 }
 
 // SetTracer attaches one per-run event tracer to every level; each level

@@ -221,11 +221,11 @@ func TestBankConflictStalls(t *testing.T) {
 
 func TestTrafficGeneratorConsumesBandwidth(t *testing.T) {
 	run := func(coRunners int) int64 {
-		h := NewContendedHierarchy(coRunners, 300)
+		llc := NewCache(LLCConfig, NewTrafficGenerator(DefaultDRAM(), coRunners*300))
 		var tt int64
 		var last int64
 		for i := 0; i < 512; i++ {
-			r := h.LLC.Access(uint64(0x100000+i*LineBytes), false, tt)
+			r := llc.Access(uint64(0x100000+i*LineBytes), false, tt)
 			tt = r.Accepted + 1
 			if r.Done > last {
 				last = r.Done

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/eve"
 	"repro/internal/probe"
 	"repro/internal/workloads"
 )
@@ -114,9 +113,9 @@ func TestTracedDeterminismAcrossKernels(t *testing.T) {
 	}
 }
 
-// TestRunEVEHasStats covers the ablation entry point's registry wiring.
+// TestRunEVEHasStats covers the registry wiring of an ablation config.
 func TestRunEVEHasStats(t *testing.T) {
-	res := RunEVE(eve.DefaultConfig(8), nil, workloads.NewVVAdd(1<<10))
+	res := Run(Config{Kind: SysO3EVE, N: 4, DTUs: 2}, workloads.NewVVAdd(1<<10))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -124,6 +123,6 @@ func TestRunEVEHasStats(t *testing.T) {
 		t.Errorf("eve.instrs = %d, %v; want positive", v, ok)
 	}
 	if _, ok := res.Stats.Get("llc.accesses"); !ok {
-		t.Error("llc.accesses missing from RunEVE stats")
+		t.Error("llc.accesses missing from custom-config stats")
 	}
 }

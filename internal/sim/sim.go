@@ -43,6 +43,11 @@ type Config struct {
 	// only in the watchdog simulate the same system.
 	MaxUProgCycles int
 
+	// DTUs and Arrays override EVE's data transpose unit and SRAM array
+	// counts for ablation studies; zero selects the eve.DefaultConfig
+	// value. Like MaxUProgCycles they do not contribute to Name().
+	DTUs, Arrays int
+
 	// Interval, when positive, samples the stats registry every Interval
 	// simulated cycles into Result.Intervals — per-window counter deltas,
 	// gauges, and the EVE reconfiguration timeline. Sampling observes, it
@@ -74,7 +79,15 @@ type MemParams struct {
 	DRAMLatency int64
 	// DRAMCyclesPerLine is the bus occupancy of one 64-byte line transfer.
 	DRAMCyclesPerLine float64
+	// CoRunners injects that many co-running cores' worth of synthetic
+	// traffic between the LLC and DRAM — the shared-LLC CMP setting the
+	// paper frames EVE in (§I). Each streams coRunnerLinesPer1K lines.
+	CoRunners int
 }
+
+// coRunnerLinesPer1K is one co-running core's synthetic DRAM traffic in
+// lines per 1000 cycles: a streaming kernel at full DRAM tilt.
+const coRunnerLinesPer1K = 300
 
 // hierarchy builds the memory system the config describes: Table III by
 // default, with any MemParams overrides applied per level.
@@ -89,17 +102,21 @@ func (c Config) hierarchy() *mem.Hierarchy {
 		over.Name = def.Name
 		return over
 	}
-	h := mem.NewHierarchyCfg(
-		pick(c.Mem.L1D, mem.L1DConfig),
-		pick(c.Mem.L2, mem.L2Config),
-		pick(c.Mem.LLC, mem.LLCConfig))
+	dram := mem.DefaultDRAM()
 	if c.Mem.DRAMLatency > 0 {
-		h.DRAM.Latency = c.Mem.DRAMLatency
+		dram.Latency = c.Mem.DRAMLatency
 	}
 	if c.Mem.DRAMCyclesPerLine > 0 {
-		h.DRAM.CyclesPerLine = c.Mem.DRAMCyclesPerLine
+		dram.CyclesPerLine = c.Mem.DRAMCyclesPerLine
 	}
-	return h
+	var lower mem.Level = dram
+	if c.Mem.CoRunners > 0 {
+		lower = mem.NewTrafficGenerator(dram, c.Mem.CoRunners*coRunnerLinesPer1K)
+	}
+	llc := mem.NewCache(pick(c.Mem.LLC, mem.LLCConfig), lower)
+	l2 := mem.NewCache(pick(c.Mem.L2, mem.L2Config), llc)
+	l1d := mem.NewCache(pick(c.Mem.L1D, mem.L1DConfig), l2)
+	return &mem.Hierarchy{L1D: l1d, L2: l2, LLC: llc, DRAM: dram}
 }
 
 // Name renders the paper's system label.
@@ -158,15 +175,117 @@ type Result struct {
 	Err         error // output validation failure, if any
 }
 
-// sink couples the trace to a core and an optional vector engine.
-type sink struct {
-	core    *cpu.Core
-	engine  vengine.Engine
-	sampler *probe.Sampler // interval sampling; nil = the fast path
+// System is one assembled Table III system — memory hierarchy, scalar core,
+// optional vector engine, stats registry and the ISA builder whose dynamic
+// trace drives them — over a caller-supplied flat backing store. It is the
+// only place a system is wired: Run builds one per cell, and the public
+// eve.Machine builds one and programs it directly through Builder.
+//
+// EVE is ephemeral (§V-E): the engine spawns out of the L2's ways when the
+// first vector instruction arrives, paying the way-partition invalidation
+// cost of whatever the scalar code left resident, and hands the ways back
+// at Finish.
+type System struct {
+	cfg      Config
+	h        *mem.Hierarchy
+	core     *cpu.Core
+	engine   vengine.Engine
+	eveEng   *eve.Engine // non-nil on EVE systems
+	b        *isa.Builder
+	reg      *probe.Registry
+	sampler  *probe.Sampler // interval sampling; nil = the fast path
+	checksum bool           // hash the flat store at Finish
+	spawned  bool
+	finished bool
 }
 
-// Emit implements isa.Sink.
-func (s *sink) Emit(ev isa.Event) {
+// NewSystem assembles the system cfg describes over flat.
+func NewSystem(cfg Config, flat *mem.Flat) *System {
+	return newSystem(cfg, flat, runOpts{})
+}
+
+func newSystem(cfg Config, flat *mem.Flat, opts runOpts) *System {
+	h := cfg.hierarchy()
+	coreCfg := cpu.O3Config
+	if cfg.Kind == SysIO {
+		coreCfg = cpu.IOConfig
+	}
+	if cfg.Kind == SysO3EVE {
+		// EVE-16/32 stretch the chip's SRAM-limited cycle time, slowing the
+		// scalar core as well (§VII-B).
+		coreCfg.ClockScale = analytic.ClockPenalty(cfg.N)
+	}
+	s := &System{cfg: cfg, h: h, core: cpu.New(coreCfg, h), checksum: opts.checksum}
+
+	// The stats registry pulls counters once after the run; registration is
+	// unconditional because it costs nothing on the simulated path. The
+	// tracer, by contrast, is only wired when present: an unset probe.Emitter
+	// is the zero-overhead fast path.
+	s.reg = probe.NewRegistry()
+	s.reg.Register("core", s.core)
+	h.RegisterStats(s.reg)
+	if opts.tracer != nil {
+		s.core.SetTracer(opts.tracer)
+		h.SetTracer(opts.tracer)
+	}
+
+	// The interval sampler is per-run like the registry it reads; nil keeps
+	// the instruction-boundary tick a single branch.
+	if cfg.Interval > 0 {
+		s.sampler = probe.NewSampler(s.reg, cfg.Interval)
+	}
+
+	hwvl := 1
+	switch cfg.Kind {
+	case SysO3IV:
+		iv := vengine.NewIV(s.core)
+		s.reg.Register("iv", iv)
+		s.engine = iv
+		hwvl = vengine.IVHWVL
+	case SysO3DV:
+		dv := vengine.NewDV(vengine.DefaultDVConfig(), h.L2)
+		s.reg.Register("dv", dv)
+		if opts.tracer != nil {
+			dv.SetTracer(opts.tracer)
+		}
+		s.engine = dv
+		hwvl = dv.HWVL()
+	case SysO3EVE:
+		ecfg := eve.DefaultConfig(cfg.N)
+		ecfg.MaxUProgCycles = cfg.MaxUProgCycles
+		if cfg.DTUs > 0 {
+			ecfg.DTUs = cfg.DTUs
+		}
+		if cfg.Arrays > 0 {
+			ecfg.Arrays = cfg.Arrays
+		}
+		s.eveEng = eve.New(ecfg, h.LLC)
+		s.reg.Register("eve", s.eveEng)
+		if opts.tracer != nil {
+			s.eveEng.SetTracer(opts.tracer)
+		}
+		s.eveEng.SetSampler(s.sampler)
+		s.engine = s.eveEng
+		hwvl = s.eveEng.HWVL()
+	}
+
+	s.b = isa.NewBuilder(flat, hwvl, s)
+	if opts.newDP != nil {
+		s.b.SetDatapath(opts.newDP(hwvl))
+	}
+	return s
+}
+
+// Builder returns the ISA builder that programs the system: its scalar
+// events and vector instructions stream into the core and the engine.
+func (s *System) Builder() *isa.Builder { return s.b }
+
+// Emit implements isa.Sink, coupling the trace to the core and the vector
+// engine.
+func (s *System) Emit(ev isa.Event) {
+	if s.finished {
+		panic("sim: system used after Finish")
+	}
 	switch ev.Kind {
 	case isa.EvScalar:
 		s.core.Ops(ev.N)
@@ -178,7 +297,12 @@ func (s *sink) Emit(ev isa.Event) {
 		s.core.Store(ev.Addr)
 	case isa.EvVector:
 		if s.engine == nil {
-			panic("sim: vector instruction on a scalar-only system")
+			panic(fmt.Sprintf("sim: vector instruction %v on scalar system %s", ev.V.Op, s.cfg.Name()))
+		}
+		if s.eveEng != nil && !s.spawned {
+			s.spawned = true
+			cost := s.h.SpawnEVE()
+			s.eveEng.Spawn(cost, s.core.Now(), s.h.L2.Ways()-s.h.L2.ActiveWays())
 		}
 		// Vector instructions dispatch at commit (§V-A); the VCU queue or a
 		// blocking reply (vmv.x.s, vmfence) may stall the core.
@@ -192,6 +316,43 @@ func (s *sink) Emit(ev isa.Event) {
 	if s.sampler != nil {
 		s.sampler.Tick(s.core.Now())
 	}
+}
+
+// Finish drains all in-flight work, ends a spawned engine's lifetime and
+// returns the result; Kernel and Err are the caller's to fill. The system
+// must not be used afterwards.
+func (s *System) Finish() Result {
+	cycles := s.core.Now()
+	if s.engine != nil {
+		if d := s.engine.Drain(); d > cycles {
+			cycles = d
+		}
+	}
+	res := Result{System: s.cfg.Name(), Cycles: cycles, Mix: s.b.Mix()}
+	if s.eveEng != nil {
+		res.Breakdown = s.eveEng.Breakdown()
+		res.VMUStall = s.eveEng.VMUIssueStallFraction()
+		res.SpawnCost = s.eveEng.SpawnCost()
+		res.EnergyEq = s.eveEng.EnergyReadEq()
+	}
+	if s.spawned {
+		// The engine's ephemeral lifetime ends here: it returns its borrowed
+		// L2 ways to the partition. The restore itself changes no counters
+		// (returned ways come back invalid, §V-E), so the simulated bytes
+		// stay identical whether or not anyone watches the timeline.
+		s.h.TeardownEVE()
+		s.eveEng.Teardown(cycles)
+	}
+	res.LLC = s.h.LLC.Stats()
+	if s.sampler != nil {
+		res.Intervals = s.sampler.Finish(cycles)
+	}
+	res.Stats = s.reg.Snapshot()
+	if s.checksum {
+		res.MemChecksum = s.b.Mem.Checksum()
+	}
+	s.finished = true
+	return res
 }
 
 // Run simulates one kernel on one system.
@@ -238,20 +399,7 @@ type runOpts struct {
 }
 
 func run(cfg Config, k *workloads.Kernel, opts runOpts) (res Result) {
-	h := cfg.hierarchy()
-	flat := mem.NewFlat(64 << 20)
-
-	coreCfg := cpu.O3Config
-	if cfg.Kind == SysIO {
-		coreCfg = cpu.IOConfig
-	}
-	if cfg.Kind == SysO3EVE {
-		// EVE-16/32 stretch the chip's SRAM-limited cycle time, slowing the
-		// scalar core as well (§VII-B).
-		coreCfg.ClockScale = analytic.ClockPenalty(cfg.N)
-	}
-	core := cpu.New(coreCfg, h)
-
+	s := newSystem(cfg, mem.NewFlat(64<<20), opts)
 	res = Result{System: cfg.Name(), Kernel: k.Name}
 
 	// Fault-reachable invariants — a wild memory access, the micro-program
@@ -267,153 +415,18 @@ func run(cfg Config, k *workloads.Kernel, opts runOpts) (res Result) {
 			res.Err = &SimError{
 				System:    res.System,
 				Kernel:    res.Kernel,
-				Cycle:     core.Now(),
+				Cycle:     s.core.Now(),
 				Subsystem: subsystem,
 				Err:       err,
 			}
-			res.MemChecksum = 0
-			res.Stats = nil
-			res.Intervals = nil
 		}
 	}()
 
-	// The stats registry pulls counters once after the run; registration is
-	// unconditional because it costs nothing on the simulated path. The
-	// tracer, by contrast, is only wired when present: an unset probe.Emitter
-	// is the zero-overhead fast path.
-	reg := probe.NewRegistry()
-	reg.Register("core", core)
-	h.RegisterStats(reg)
-	if opts.tracer != nil {
-		core.SetTracer(opts.tracer)
-		h.SetTracer(opts.tracer)
-	}
-
-	// The interval sampler is per-run like the registry it reads; nil keeps
-	// the instruction-boundary tick a single branch.
-	var sampler *probe.Sampler
-	if cfg.Interval > 0 {
-		sampler = probe.NewSampler(reg, cfg.Interval)
-	}
-
-	var engine vengine.Engine
-	var eveEng *eve.Engine
-	vector := true
-	hwvl := 1
-
-	switch cfg.Kind {
-	case SysIO, SysO3:
-		vector = false
-	case SysO3IV:
-		iv := vengine.NewIV(core)
-		reg.Register("iv", iv)
-		engine = iv
-		hwvl = vengine.IVHWVL
-	case SysO3DV:
-		dv := vengine.NewDV(vengine.DefaultDVConfig(), h.L2)
-		reg.Register("dv", dv)
-		if opts.tracer != nil {
-			dv.SetTracer(opts.tracer)
-		}
-		engine = dv
-		hwvl = dv.HWVL()
-	case SysO3EVE:
-		ecfg := eve.DefaultConfig(cfg.N)
-		ecfg.MaxUProgCycles = cfg.MaxUProgCycles
-		eveEng = eve.New(ecfg, h.LLC)
-		reg.Register("eve", eveEng)
-		if opts.tracer != nil {
-			eveEng.SetTracer(opts.tracer)
-		}
-		eveEng.SetSampler(sampler)
-		spawnEVE(eveEng, h)
-		engine = eveEng
-		hwvl = eveEng.HWVL()
-	}
-
-	b := isa.NewBuilder(flat, max(hwvl, 1), &sink{core: core, engine: engine, sampler: sampler})
-	if opts.newDP != nil {
-		b.SetDatapath(opts.newDP(max(hwvl, 1)))
-	}
-	check := k.Run(b, vector)
-	res.Err = check()
-	res.Mix = b.Mix()
-
-	cycles := core.Now()
-	if engine != nil {
-		if d := engine.Drain(); d > cycles {
-			cycles = d
-		}
-	}
-	res.Cycles = cycles
-	if eveEng != nil {
-		res.Breakdown = eveEng.Breakdown()
-		res.VMUStall = eveEng.VMUIssueStallFraction()
-		res.SpawnCost = eveEng.SpawnCost()
-		res.EnergyEq = eveEng.EnergyReadEq()
-		// The engine's ephemeral lifetime ends here: it returns its borrowed
-		// L2 ways to the partition. The restore itself changes no counters
-		// (returned ways come back invalid, §V-E), so the teardown runs
-		// unconditionally and the simulated bytes stay identical whether or
-		// not anyone watches the timeline.
-		h.TeardownEVE()
-		eveEng.Teardown(cycles)
-	}
-	res.LLC = h.LLC.Stats()
-	if sampler != nil {
-		res.Intervals = sampler.Finish(cycles)
-	}
-	res.Stats = reg.Snapshot()
-	if opts.checksum {
-		res.MemChecksum = flat.Checksum()
-	}
-	return res
-}
-
-// spawnEVE runs the engine's spawn reconfiguration against the hierarchy:
-// the L2 releases half its ways (charging the invalidation cost) and the
-// engine takes ownership of them.
-func spawnEVE(e *eve.Engine, h *mem.Hierarchy) {
-	cost := h.SpawnEVE()
-	e.Spawn(cost, 0, h.L2.Ways()-h.L2.ActiveWays())
-}
-
-// RunEVE simulates a kernel on O3+EVE with a custom engine configuration
-// and memory hierarchy — the entry point for ablation studies (DTU count,
-// array count, LLC MSHRs). Pass nil for the Table III hierarchy.
-func RunEVE(ecfg eve.Config, h *mem.Hierarchy, k *workloads.Kernel) Result {
-	if h == nil {
-		h = mem.NewHierarchy()
-	}
-	flat := mem.NewFlat(64 << 20)
-	coreCfg := cpu.O3Config
-	coreCfg.ClockScale = analytic.ClockPenalty(ecfg.N)
-	core := cpu.New(coreCfg, h)
-	eveEng := eve.New(ecfg, h.LLC)
-	reg := probe.NewRegistry()
-	reg.Register("core", core)
-	h.RegisterStats(reg)
-	reg.Register("eve", eveEng)
-	spawnEVE(eveEng, h)
-
-	b := isa.NewBuilder(flat, eveEng.HWVL(), &sink{core: core, engine: eveEng})
-	check := k.Run(b, true)
-	res := Result{System: fmt.Sprintf("O3+EVE-%d(custom)", ecfg.N), Kernel: k.Name}
-	res.Err = check()
-	res.Mix = b.Mix()
-	cycles := core.Now()
-	if d := eveEng.Drain(); d > cycles {
-		cycles = d
-	}
-	res.Cycles = cycles
-	res.Breakdown = eveEng.Breakdown()
-	res.VMUStall = eveEng.VMUIssueStallFraction()
-	res.SpawnCost = eveEng.SpawnCost()
-	res.EnergyEq = eveEng.EnergyReadEq()
-	h.TeardownEVE()
-	eveEng.Teardown(cycles)
-	res.LLC = h.LLC.Stats()
-	res.Stats = reg.Snapshot()
+	check := k.Run(s.b, s.engine != nil)
+	err := check()
+	res = s.Finish()
+	res.Kernel = k.Name
+	res.Err = err
 	return res
 }
 

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
-	"repro/internal/eve"
 	"repro/internal/mem"
 	"repro/internal/workloads"
 )
@@ -152,16 +152,24 @@ func TestTraceEncodesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunEVECustomConfig covers the ablation entry point.
+// TestRunEVECustomConfig covers the ablation knobs on the one entry point:
+// an engine configuration off the paper's defaults runs and validates, and
+// a tripped watchdog on the same system comes back as a *SimError.
 func TestRunEVECustomConfig(t *testing.T) {
-	cfg := eve.DefaultConfig(4)
-	cfg.DTUs = 2
-	r := RunEVE(cfg, nil, workloads.NewVVAdd(1<<10))
+	cfg := Config{Kind: SysO3EVE, N: 4, DTUs: 2}
+	r := Run(cfg, workloads.NewVVAdd(1<<10))
 	if r.Err != nil || r.Cycles <= 0 {
-		t.Fatalf("RunEVE: %+v", r)
+		t.Fatalf("Run: %+v", r)
 	}
 	if r.EnergyEq <= 0 {
 		t.Fatal("custom run recorded no energy")
+	}
+
+	cfg.MaxUProgCycles = 1
+	r = Run(cfg, workloads.NewVVAdd(1<<10))
+	var se *SimError
+	if !errors.As(r.Err, &se) || se.Subsystem != "uprog" {
+		t.Fatalf("watchdog on a custom EVE config: err = %v, want a uprog *SimError", r.Err)
 	}
 }
 
