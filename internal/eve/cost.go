@@ -37,6 +37,16 @@ type opCost struct {
 	energy float64
 }
 
+// plus sums two costs, such as a .vx broadcast prologue and the operation.
+func (a opCost) plus(b opCost) opCost {
+	return opCost{cycles: a.cycles + b.cycles, energy: a.energy + b.energy}
+}
+
+// shiftKinds maps the shift macro-ops to their micro-program variants.
+var shiftKinds = map[isa.Op]uprog.ShiftKind{
+	isa.OpSll: uprog.ShSLL, isa.OpSrl: uprog.ShSRL, isa.OpSra: uprog.ShSRA,
+}
+
 // costModel lazily measures micro-program costs per macro-op.
 type costModel struct {
 	layout uprog.Layout
@@ -101,42 +111,37 @@ func (c *costModel) measure(in *isa.Instr, key costKey) opCost {
 	if key.vx {
 		base = c.broadcastCost()
 	}
-	add := func(oc opCost) opCost {
-		return opCost{cycles: base.cycles + oc.cycles, energy: base.energy + oc.energy}
-	}
 	switch in.Op {
 	case isa.OpAdd:
-		return add(c.run(uprog.Add(l, d, a, b, m)))
+		return base.plus(c.run(uprog.Add(l, d, a, b, m)))
 	case isa.OpSub:
-		return add(c.run(uprog.Sub(l, d, a, b, m)))
+		return base.plus(c.run(uprog.Sub(l, d, a, b, m)))
 	case isa.OpRSub:
-		return add(c.run(uprog.RSub(l, d, a, b, m)))
+		return base.plus(c.run(uprog.RSub(l, d, a, b, m)))
 	case isa.OpAnd:
-		return add(c.run(uprog.Logic(l, uop.SrcAnd, d, a, b, m)))
+		return base.plus(c.run(uprog.Logic(l, uop.SrcAnd, d, a, b, m)))
 	case isa.OpOr:
-		return add(c.run(uprog.Logic(l, uop.SrcOr, d, a, b, m)))
+		return base.plus(c.run(uprog.Logic(l, uop.SrcOr, d, a, b, m)))
 	case isa.OpXor:
-		return add(c.run(uprog.Logic(l, uop.SrcXor, d, a, b, m)))
+		return base.plus(c.run(uprog.Logic(l, uop.SrcXor, d, a, b, m)))
 	case isa.OpSAdd:
-		return add(c.run(uprog.SatAdd(l, d, a, b, m)))
+		return base.plus(c.run(uprog.SatAdd(l, d, a, b, m)))
 	case isa.OpSAddU:
-		return add(c.run(uprog.SatAddU(l, d, a, b, m)))
+		return base.plus(c.run(uprog.SatAddU(l, d, a, b, m)))
 	case isa.OpSSub:
-		return add(c.run(uprog.SatSub(l, d, a, b, m)))
+		return base.plus(c.run(uprog.SatSub(l, d, a, b, m)))
 	case isa.OpSSubU:
-		return add(c.run(uprog.SatSubU(l, d, a, b, m)))
+		return base.plus(c.run(uprog.SatSubU(l, d, a, b, m)))
 	case isa.OpMin:
-		return add(c.run(uprog.MinMax(l, false, true, d, a, b, m)))
+		return base.plus(c.run(uprog.MinMax(l, false, true, d, a, b, m)))
 	case isa.OpMax:
-		return add(c.run(uprog.MinMax(l, true, true, d, a, b, m)))
+		return base.plus(c.run(uprog.MinMax(l, true, true, d, a, b, m)))
 	case isa.OpMinU:
-		return add(c.run(uprog.MinMax(l, false, false, d, a, b, m)))
+		return base.plus(c.run(uprog.MinMax(l, false, false, d, a, b, m)))
 	case isa.OpMaxU:
-		return add(c.run(uprog.MinMax(l, true, false, d, a, b, m)))
+		return base.plus(c.run(uprog.MinMax(l, true, false, d, a, b, m)))
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := map[isa.Op]uprog.ShiftKind{
-			isa.OpSll: uprog.ShSLL, isa.OpSrl: uprog.ShSRL, isa.OpSra: uprog.ShSRA,
-		}[in.Op]
+		kind := shiftKinds[in.Op]
 		if key.vx {
 			// The VSU resolves the scalar amount at decode: no broadcast.
 			return c.run(uprog.ShiftImm(l, kind, d, a, int(key.imm), m))
@@ -154,35 +159,35 @@ func (c *costModel) measure(in *isa.Instr, key costKey) opCost {
 		// writeback: one wr per segment.
 		return c.run(uprog.WriteExt(l, d, m))
 	case isa.OpMul:
-		return add(c.run(uprog.Mul(l, d, a, b, m, false)))
+		return base.plus(c.run(uprog.Mul(l, d, a, b, m, false)))
 	case isa.OpMacc:
-		return add(c.run(uprog.Mul(l, d, a, b, m, true)))
+		return base.plus(c.run(uprog.Mul(l, d, a, b, m, true)))
 	case isa.OpMulH:
-		return add(c.run(uprog.MulH(l, d, a, b, m)))
+		return base.plus(c.run(uprog.MulH(l, d, a, b, m)))
 	case isa.OpDiv:
-		return add(c.run(uprog.DivRem(l, uprog.DivS, d, a, b, m)))
+		return base.plus(c.run(uprog.DivRem(l, uprog.DivS, d, a, b, m)))
 	case isa.OpDivU:
-		return add(c.run(uprog.DivRem(l, uprog.DivU, d, a, b, m)))
+		return base.plus(c.run(uprog.DivRem(l, uprog.DivU, d, a, b, m)))
 	case isa.OpRem:
-		return add(c.run(uprog.DivRem(l, uprog.RemS, d, a, b, m)))
+		return base.plus(c.run(uprog.DivRem(l, uprog.RemS, d, a, b, m)))
 	case isa.OpRemU:
-		return add(c.run(uprog.DivRem(l, uprog.RemU, d, a, b, m)))
+		return base.plus(c.run(uprog.DivRem(l, uprog.RemU, d, a, b, m)))
 	case isa.OpMSeq:
-		return add(c.run(uprog.Compare(l, uprog.CmpEq, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpEq, d, a, b, m)))
 	case isa.OpMSne:
-		return add(c.run(uprog.Compare(l, uprog.CmpNe, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpNe, d, a, b, m)))
 	case isa.OpMSlt:
-		return add(c.run(uprog.Compare(l, uprog.CmpLt, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpLt, d, a, b, m)))
 	case isa.OpMSltU:
-		return add(c.run(uprog.Compare(l, uprog.CmpLtu, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpLtu, d, a, b, m)))
 	case isa.OpMSle:
-		return add(c.run(uprog.Compare(l, uprog.CmpLe, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpLe, d, a, b, m)))
 	case isa.OpMSleU:
-		return add(c.run(uprog.Compare(l, uprog.CmpLeu, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpLeu, d, a, b, m)))
 	case isa.OpMSgt:
-		return add(c.run(uprog.Compare(l, uprog.CmpGt, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpGt, d, a, b, m)))
 	case isa.OpMSgtU:
-		return add(c.run(uprog.Compare(l, uprog.CmpGtu, d, a, b, m)))
+		return base.plus(c.run(uprog.Compare(l, uprog.CmpGtu, d, a, b, m)))
 	case isa.OpMvSX:
 		// Write one element's segments through data_in.
 		return opCost{cycles: 1 + l.Segs, energy: float64(l.Segs)}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/probe"
+	"repro/internal/vengine"
 	"repro/internal/vreg"
 )
 
@@ -50,10 +51,9 @@ func (b Breakdown) Total() int64 {
 // Config parameterizes an EVE engine instance (Table III: EVE-x, in-order
 // issue, one exec pipe).
 type Config struct {
-	N          int // parallelization factor
-	Arrays     int // EVE SRAMs (32: half of the L2's 64 sub-arrays, paired)
-	DTUs       int // data transpose units (8)
-	QueueDepth int // VCU instruction queue between core commit and EVE
+	N      int // parallelization factor
+	Arrays int // EVE SRAMs (32: half of the L2's 64 sub-arrays, paired)
+	DTUs   int // data transpose units (8)
 	// StreamBits is the SRAM read bandwidth B feeding the VRU (§V-D).
 	StreamBits int
 	// MaxUProgCycles bounds each micro-program run on the cost-model
@@ -65,7 +65,7 @@ type Config struct {
 // DefaultConfig returns the paper's EVE-n configuration. StreamBits is §V-D's
 // B, the SRAM read bandwidth feeding the VRU's E = B/n detranspose ports.
 func DefaultConfig(n int) Config {
-	return Config{N: n, Arrays: 32, DTUs: 8, QueueDepth: 16, StreamBits: 256}
+	return Config{N: n, Arrays: 32, DTUs: 8, StreamBits: 256}
 }
 
 // regState tracks readiness of one architectural vector register.
@@ -102,8 +102,11 @@ type Engine struct {
 	lastLoad int64 // completion horizon of outstanding loads
 	lastStW  int64 // completion horizon of outstanding store writes
 
-	queue []int64 // dispatch times of the last QueueDepth instructions
-	qHead int
+	queue vengine.Queue // the VCU queue between core commit and EVE
+	// Scratch reused by every memory macro-op: its line stream and each
+	// line's completion time.
+	lineBuf []uint64
+	doneBuf []int64
 
 	brk           Breakdown
 	vmuIssueStall int64
@@ -171,11 +174,7 @@ func (e *Engine) ProbeStats(s *probe.Scope) {
 // full the VCU dispatch queue is.
 func (e *Engine) ProbeGauges(s *probe.Scope, now int64) {
 	s.Counter("ways_owned", int64(e.waysOwned))
-	occ := len(e.queue) - e.qHead
-	if occ > e.cfg.QueueDepth {
-		occ = e.cfg.QueueDepth
-	}
-	s.Counter("queue.occupancy", int64(occ))
+	s.Counter("queue.occupancy", int64(e.queue.Occupancy()))
 }
 
 // SetSampler attaches a per-run interval sampler (nil to disable); the
@@ -314,26 +313,6 @@ func (e *Engine) setComputed(r int) {
 	e.regs[r].memCat, e.regs[r].fullCat = DepStall, DepStall
 }
 
-// enqueue models the VCU queue: the core blocks when QueueDepth committed
-// vector instructions are still waiting. Returns the time the core may
-// proceed past this instruction.
-func (e *Engine) enqueue(dispatched int64) int64 {
-	if e.cfg.QueueDepth <= 0 {
-		return dispatched
-	}
-	e.queue = append(e.queue, dispatched)
-	if len(e.queue)-e.qHead > e.cfg.QueueDepth {
-		block := e.queue[e.qHead]
-		e.qHead++
-		if e.qHead > 4096 && e.qHead*2 > len(e.queue) {
-			e.queue = append(e.queue[:0], e.queue[e.qHead:]...)
-			e.qHead = 0
-		}
-		return block
-	}
-	return 0
-}
-
 // dtuServe runs one cacheline through the transpose units: an aggregate
 // server of DTUs parallel units per direction, each spending segs cycles per
 // line. Inbound transposes (loads) and outbound detransposes (stores) keep
@@ -356,56 +335,24 @@ func (e *Engine) dtuServe(readyAt int64, store bool) int64 {
 	return int64(math.Ceil(*next))
 }
 
-// lines expands a memory instruction into its cacheline request stream. Unit
-// stride and constant stride coalesce elements sharing a line (the VMU
-// guarantees cache-line alignment, §V-C); indexed accesses generate one
-// request per element, per the paper.
-func (e *Engine) lines(in *isa.Instr) []uint64 {
-	switch in.Op {
-	case isa.OpLoad, isa.OpStore:
-		first := in.Addr / mem.LineBytes
-		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
-		out := make([]uint64, 0, last-first+1)
-		for l := first; l <= last; l++ {
-			out = append(out, l*mem.LineBytes)
-		}
-		return out
-	case isa.OpLoadStride, isa.OpStoreStride:
-		out := make([]uint64, 0, in.VL)
-		var prev uint64 = math.MaxUint64
-		for i := 0; i < in.VL; i++ {
-			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
-			if a != prev {
-				out = append(out, a*mem.LineBytes)
-				prev = a
-			}
-		}
-		return out
-	case isa.OpLoadIdx, isa.OpStoreIdx:
-		out := make([]uint64, len(in.Addrs))
-		for i, a := range in.Addrs {
-			out[i] = a / mem.LineBytes * mem.LineBytes
-		}
-		return out
-	}
-	return nil
-}
-
 // vmuIssue streams line requests to the LLC port at one per cycle, blocking
 // on MSHR back-pressure, and returns the time of the last issue slot plus
-// each line's completion time.
+// each line's completion time. The completion times alias e.doneBuf and are
+// valid until the next call.
 func (e *Engine) vmuIssue(lines []uint64, write bool, start int64) (int64, []int64) {
 	t := start
-	dones := make([]int64, len(lines))
-	for i, la := range lines {
+	dones := e.doneBuf[:0]
+	for _, la := range lines {
 		r := e.llc.Access(la, write, t)
 		if r.Accepted > t {
 			e.vmuIssueStall += r.Accepted - t
 		}
 		t = r.Accepted + 1
-		dones[i] = r.Done
+		//evelint:allow hotalloc -- amortized: doneBuf grows to the longest line stream once, then reuses
+		dones = append(dones, r.Done)
 		e.vmuLines++
 	}
+	e.doneBuf = dones
 	return t, dones
 }
 
@@ -480,7 +427,7 @@ func (e *Engine) Handle(in *isa.Instr, arrival int64) int64 {
 		dispatched = e.clock
 	}
 
-	block := e.enqueue(dispatched)
+	block := e.queue.Push(dispatched)
 	if reply > block {
 		block = reply
 	}
@@ -535,7 +482,8 @@ func (e *Engine) load(in *isa.Instr) int64 {
 	}
 	dispatched := start
 
-	lines := e.lines(in)
+	e.lineBuf = vengine.Lines(e.lineBuf, in)
+	lines := e.lineBuf
 	e.linesDist.Observe(int64(len(lines)))
 	lastIssue, dones := e.vmuIssue(lines, false, start)
 	e.vmuFree = lastIssue
@@ -578,12 +526,7 @@ func (e *Engine) load(in *isa.Instr) int64 {
 // VSU is not occupied. Returns the dispatch time.
 func (e *Engine) store(in *isa.Instr) int64 {
 	src := &e.regs[in.Vs1]
-	start := e.vcu
-	for _, t := range []int64{src.vmuT, src.memT, src.fullT} {
-		if t > start {
-			start = t
-		}
-	}
+	start := max(e.vcu, src.vmuT, src.memT, src.fullT)
 	if in.Op == isa.OpStoreIdx {
 		if t := e.regs[in.Vs2].fullT + int64(e.segs); t > start {
 			start = t
@@ -591,7 +534,8 @@ func (e *Engine) store(in *isa.Instr) int64 {
 	}
 	dispatched := start
 
-	lines := e.lines(in)
+	e.lineBuf = vengine.Lines(e.lineBuf, in)
+	lines := e.lineBuf
 	e.linesDist.Observe(int64(len(lines)))
 	// Request generation (addresses are known at dispatch) occupies the VMU
 	// pipeline in order, but the data writes drain through a separate store
@@ -680,11 +624,7 @@ func (e *Engine) crossElement(in *isa.Instr) {
 // Drain completes all outstanding work and returns the engine's finish time.
 func (e *Engine) Drain() int64 {
 	e.advanceTo(e.lastLoad, LdMemStall)
-	var dt int64
-	if maxF(e.dtuLd, e.dtuSt) > 0 {
-		dt = int64(math.Ceil(maxF(e.dtuLd, e.dtuSt)))
-	}
-	e.advanceTo(dt, LdDTStall)
+	e.advanceTo(int64(math.Ceil(max(e.dtuLd, e.dtuSt))), LdDTStall)
 	e.advanceTo(e.lastStW, StMemStall)
 	e.advanceTo(e.vruFree, VRUStall)
 	return e.clock
@@ -704,18 +644,4 @@ func isCrossElement(o isa.Op) bool {
 		return true
 	}
 	return false
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

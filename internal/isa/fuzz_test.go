@@ -84,9 +84,9 @@ func FuzzAssemble(f *testing.F) {
 		f.Add(Disassemble(in))
 	}
 	f.Add("")
-	f.Add("vadd.vv v1, v2")        // missing operand
-	f.Add("vadd.vv v1, v2, v99")   // bad register
-	f.Add("vadd v1, v2, v3")       // no suffix
+	f.Add("vadd.vv v1, v2")      // missing operand
+	f.Add("vadd.vv v1, v2, v99") // bad register
+	f.Add("vadd v1, v2, v3")     // no suffix
 	f.Add("nonsense.vv v1, v2, v3")
 	f.Add("vmv.x.s x_, v7")
 	f.Add("vsetvli x0, x0, e32")

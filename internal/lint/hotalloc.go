@@ -11,6 +11,7 @@ import (
 var HotallocPackages = []string{
 	"repro/internal/mem",
 	"repro/internal/vengine",
+	"repro/internal/eve",
 	"repro/internal/cpu",
 	"repro/internal/uprog",
 }

@@ -108,7 +108,7 @@ func (h *releaseHeap) pop() int64 {
 // MSHR.
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]line
+	lines []line // set-major: set i holds lines[i*cfg.Ways : (i+1)*cfg.Ways]
 	nsets int
 	banks []int64
 	mshrs releaseHeap
@@ -165,13 +165,10 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	c := &Cache{
 		cfg:         cfg,
 		nsets:       nsets,
-		sets:        make([][]line, nsets),
+		lines:       make([]line, nsets*cfg.Ways),
 		banks:       make([]int64, cfg.Banks),
 		outstanding: make(map[uint64]int64),
 		lower:       lower,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	return c
 }
@@ -221,6 +218,12 @@ func (c *Cache) ways() int {
 	return c.cfg.Ways
 }
 
+// set returns the ways of set i that the replacement policy may use.
+func (c *Cache) set(i int) []line {
+	base := i * c.cfg.Ways
+	return c.lines[base : base+c.ways()]
+}
+
 // Access implements Level.
 func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	c.stats.Accesses++
@@ -243,8 +246,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 		c.banks[b] = start + 1
 	}
 
-	ways := c.ways()
-	ls := c.sets[set][:ways]
+	ls := c.set(set)
 	c.clock++
 	for i := range ls {
 		if ls[i].valid && ls[i].tag == tag {
@@ -326,8 +328,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 // install places the fetched line, evicting the LRU victim (writing it back
 // if dirty).
 func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
-	ways := c.ways()
-	ls := c.sets[set][:ways]
+	ls := c.set(set)
 	victim := 0
 	for i := range ls {
 		if !ls[i].valid {
@@ -358,9 +359,13 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 	if ways <= 0 || ways > c.cfg.Ways {
 		ways = c.cfg.Ways
 	}
-	for s := range c.sets {
-		for w := ways; w < c.cfg.Ways; w++ {
-			l := &c.sets[s][w]
+	// Ways past the current partition are already empty (the previous
+	// Partition cleared them and install never reaches them), so only the
+	// active ways beyond the new size need invalidating.
+	for s := 0; s < c.nsets; s++ {
+		ls := c.set(s)
+		for w := ways; w < len(ls); w++ {
+			l := &ls[w]
 			if l.valid {
 				invalidated++
 				if l.dirty {
@@ -379,7 +384,7 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set, tag := c.index(lineAddr)
-	for _, l := range c.sets[set][:c.ways()] {
+	for _, l := range c.set(set) {
 		if l.valid && l.tag == tag {
 			return true
 		}

@@ -50,9 +50,6 @@ func TestIntervalRunsMatchPlain(t *testing.T) {
 				if sampled.VMUStall != plain.VMUStall {
 					t.Errorf("sampled vmu stall = %v, plain %v", sampled.VMUStall, plain.VMUStall)
 				}
-				if sampled.LLC != plain.LLC {
-					t.Errorf("sampled llc = %+v, plain %+v", sampled.LLC, plain.LLC)
-				}
 				if sampled.Mix != plain.Mix {
 					t.Errorf("sampled mix = %+v, plain %+v", sampled.Mix, plain.Mix)
 				}

@@ -39,9 +39,6 @@ func TestTracedRunsMatchUntraced(t *testing.T) {
 				if tc.got.VMUStall != plain.VMUStall {
 					t.Errorf("%s vmu stall = %v, untraced %v", tc.label, tc.got.VMUStall, plain.VMUStall)
 				}
-				if tc.got.LLC != plain.LLC {
-					t.Errorf("%s llc stats = %+v, untraced %+v", tc.label, tc.got.LLC, plain.LLC)
-				}
 				if tc.got.Mix != plain.Mix {
 					t.Errorf("%s mix = %+v, untraced %+v", tc.label, tc.got.Mix, plain.Mix)
 				}

@@ -155,7 +155,6 @@ type Result struct {
 	VMUStall  float64       // Fig 8 metric, EVE only
 	SpawnCost int64         // EVE only
 	EnergyEq  float64       // EVE array energy in read-equivalents (§VI-B)
-	LLC       mem.CacheStats
 	// Stats is the hierarchical end-of-run counter snapshot: every component
 	// of the simulated system under its dotted path (core.insts,
 	// l2.mshr.stall_cycles, eve.breakdown.busy, ...). Pulled once after the
@@ -343,7 +342,6 @@ func (s *System) Finish() Result {
 		s.h.TeardownEVE()
 		s.eveEng.Teardown(cycles)
 	}
-	res.LLC = s.h.LLC.Stats()
 	if s.sampler != nil {
 		res.Intervals = s.sampler.Finish(cycles)
 	}

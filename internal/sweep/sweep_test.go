@@ -162,8 +162,8 @@ type countingObserver struct {
 	maxDon    int
 	total     int
 	wall      time.Duration
-	sweepDone int // SweepDone invocations
-	finalDone int // done count reported by SweepDone
+	sweepDone int         // SweepDone invocations
+	finalDone int         // done count reported by SweepDone
 	cellsSeen map[int]int // cell index -> CellDone count
 }
 

@@ -113,17 +113,16 @@ const (
 
 // DVConfig parameterizes the decoupled engine.
 type DVConfig struct {
-	HWVL       int
-	Lanes      int // parallel lanes per execution pipe
-	QueueDepth int
-	PipeDepth  int64 // pipeline fill latency
+	HWVL      int
+	Lanes     int   // parallel lanes per execution pipe
+	PipeDepth int64 // pipeline fill latency
 }
 
 // DefaultDVConfig is Table III's DV: 64-element vectors, in-order issue,
 // four execution pipes. The engine is "loosely based on Tarantula" (§VII-A),
 // which drove 16 lanes per pipe.
 func DefaultDVConfig() DVConfig {
-	return DVConfig{HWVL: 64, Lanes: 16, QueueDepth: 16, PipeDepth: 4}
+	return DVConfig{HWVL: 64, Lanes: 16, PipeDepth: 4}
 }
 
 // DV models the decoupled vector engine: private clock, in-order issue onto
@@ -143,13 +142,8 @@ type DV struct {
 	lastLoad int64
 	lastStW  int64
 
-	queue []int64
-	qHead int
-
-	// lineBuf is the reusable scratch for lines(): each expansion overwrites
-	// the previous one, so the backing array grows to the longest request
-	// stream once and is then allocation-free.
-	lineBuf []uint64
+	queue   Queue
+	lineBuf []uint64 // Lines scratch, reused by every memory instruction
 
 	Instrs uint64
 
@@ -178,31 +172,11 @@ func (d *DV) ProbeStats(s *probe.Scope) {
 // ProbeGauges implements probe.GaugeSource: how full the decoupled unit's
 // dispatch queue is at cycle now.
 func (d *DV) ProbeGauges(s *probe.Scope, now int64) {
-	occ := len(d.queue) - d.qHead
-	if occ > d.cfg.QueueDepth {
-		occ = d.cfg.QueueDepth
-	}
-	s.Counter("queue.occupancy", int64(occ))
+	s.Counter("queue.occupancy", int64(d.queue.Occupancy()))
 }
 
 // HWVL implements Engine.
 func (d *DV) HWVL() int { return d.cfg.HWVL }
-
-func (d *DV) enqueue(dispatched int64) int64 {
-	//evelint:allow hotalloc -- amortized: the compaction below bounds the queue, so growth converges
-	d.queue = append(d.queue, dispatched)
-	if len(d.queue)-d.qHead > d.cfg.QueueDepth {
-		block := d.queue[d.qHead]
-		d.qHead++
-		if d.qHead > 4096 && d.qHead*2 > len(d.queue) {
-			//evelint:allow hotalloc -- copies into the existing backing array; never grows
-			d.queue = append(d.queue[:0], d.queue[d.qHead:]...)
-			d.qHead = 0
-		}
-		return block
-	}
-	return 0
-}
 
 func (d *DV) wait(t int64) {
 	if t > d.clock {
@@ -258,7 +232,7 @@ func (d *DV) Handle(in *isa.Instr, arrival int64) int64 {
 		d.ready[in.Vd] = d.clock
 	case isa.IsMemory(in.Op):
 		done := d.memory(in)
-		block := d.enqueue(done)
+		block := d.queue.Push(done)
 		if reply > block {
 			block = reply
 		}
@@ -282,7 +256,7 @@ func (d *DV) Handle(in *isa.Instr, arrival int64) int64 {
 		d.clock++ // in-order issue slot
 	}
 
-	block := d.enqueue(d.clock)
+	block := d.queue.Push(d.clock)
 	if reply > block {
 		block = reply
 	}
@@ -307,38 +281,6 @@ func (d *DV) commit(in *isa.Instr, arrival, block int64) int64 {
 	return block
 }
 
-// lines expands a DV memory instruction; same coalescing rules as EVE's VMU.
-// The returned slice aliases d.lineBuf and is only valid until the next call.
-func (d *DV) lines(in *isa.Instr) []uint64 {
-	out := d.lineBuf[:0]
-	switch in.Op {
-	case isa.OpLoad, isa.OpStore:
-		first := in.Addr / mem.LineBytes
-		last := (in.Addr + uint64(4*in.VL) - 1) / mem.LineBytes
-		for l := first; l <= last; l++ {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, l*mem.LineBytes)
-		}
-	case isa.OpLoadStride, isa.OpStoreStride:
-		prev := uint64(1) << 63
-		for i := 0; i < in.VL; i++ {
-			a := uint64(int64(in.Addr)+int64(i)*in.Stride) / mem.LineBytes
-			if a != prev {
-				//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-				out = append(out, a*mem.LineBytes)
-				prev = a
-			}
-		}
-	default:
-		for _, a := range in.Addrs {
-			//evelint:allow hotalloc -- amortized: lineBuf grows to the longest expansion once, then reuses
-			out = append(out, a/mem.LineBytes*mem.LineBytes)
-		}
-	}
-	d.lineBuf = out
-	return out
-}
-
 // memory returns the time the VMU finished issuing the requests, which is
 // when the instruction vacates its queue slot.
 func (d *DV) memory(in *isa.Instr) int64 {
@@ -355,7 +297,8 @@ func (d *DV) memory(in *isa.Instr) int64 {
 	if d.pipeFree[pipeMem] > start {
 		start = d.pipeFree[pipeMem]
 	}
-	lines := d.lines(in)
+	d.lineBuf = Lines(d.lineBuf, in)
+	lines := d.lineBuf
 
 	if write {
 		// Request generation occupies the memory pipe in order; the data
