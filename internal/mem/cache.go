@@ -54,7 +54,12 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	lru   uint64
+	// pending mirrors the outstanding map while the line is resident, so
+	// hits never consult it: pending is true exactly when outstanding holds
+	// the line's address, and pend is that entry's completion time.
+	pending bool
+	lru     uint64
+	pend    int64
 }
 
 // releaseHeap is a min-heap of busy-resource release times. It implements
@@ -258,11 +263,12 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 			done := start + c.cfg.HitLatency
 			// A line installed by an in-flight miss is not actually present
 			// until its fill completes; late hits wait for it.
-			if pend, ok := c.outstanding[lineAddr]; ok {
-				if pend > done {
-					done = pend
+			if l := &ls[i]; l.pending {
+				if l.pend > done {
+					done = l.pend
 				} else {
 					delete(c.outstanding, lineAddr)
+					l.pending = false
 				}
 			}
 			c.tr.SpanAddr(probe.KAccess, "hit", start, done, lineAddr*LineBytes)
@@ -312,6 +318,8 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	// The tag is installed now but marked outstanding until the fill
 	// completes, so accesses arriving before `done` wait for it. Entries are
 	// cleaned lazily on later hits, with a size-bounded sweep as backstop.
+	// An entry outlives eviction of its line, so a re-miss after eviction
+	// still merges; while the line is resident, it carries a copy.
 	c.outstanding[lineAddr] = done
 	if len(c.outstanding) > 4096 {
 		for k, v := range c.outstanding {
@@ -319,15 +327,23 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 				delete(c.outstanding, k)
 			}
 		}
+		// Clear the resident copies of the deleted entries: one sequential
+		// pass, cheaper than a set lookup per deleted entry.
+		for i := range c.lines {
+			if l := &c.lines[i]; l.pending && l.pend <= issue {
+				l.pending = false
+			}
+		}
 	}
-	c.install(set, tag, write, done)
+	l := c.install(set, tag, write, done)
+	l.pending, l.pend = true, done
 	c.tr.SpanAddr(probe.KAccess, "miss", start, done, lineAddr*LineBytes)
 	return Result{Accepted: issue, Done: done}
 }
 
 // install places the fetched line, evicting the LRU victim (writing it back
-// if dirty).
-func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
+// if dirty), and returns it.
+func (c *Cache) install(set int, tag uint64, dirty bool, t int64) *line {
 	ls := c.set(set)
 	victim := 0
 	for i := range ls {
@@ -349,6 +365,7 @@ func (c *Cache) install(set int, tag uint64, dirty bool, t int64) {
 		c.lower.Access(victimLine*LineBytes, true, t)
 	}
 	ls[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	return &ls[victim]
 }
 
 // Partition restricts the cache to its first `ways` ways, invalidating lines

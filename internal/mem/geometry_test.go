@@ -67,6 +67,11 @@ func TestFlatAccessErrorFields(t *testing.T) {
 		{"load-straddles-end", capacity - 2, func(f *Flat, a uint64) { f.LoadU32(a) }},
 		{"store-wild", 1 << 40, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
 		{"null-page", 0, func(f *Flat, a uint64) { f.LoadU32(a) }},
+		{"store-past-end", capacity, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
+		{"store-straddles-end", capacity - 3, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
+		{"store-null-page", 0, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
+		{"store-below-64", 63, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
+		{"store-wraps", ^uint64(0) - 1, func(f *Flat, a uint64) { f.StoreU32(a, 1) }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +237,69 @@ func TestTrafficGeneratorConsumesBandwidth(t *testing.T) {
 	alone, crowded := run(0), run(3)
 	if crowded <= alone {
 		t.Fatalf("3 co-runners (%d cycles) should slow a 512-line stream vs alone (%d)", crowded, alone)
+	}
+}
+
+// TestOutstandingEntryOutlivesEviction pins the MSHR bookkeeping the hit
+// path's per-line mirror must preserve: a miss entry outlives eviction of its
+// line, so a later access to the evicted line counts as a merged miss at hit
+// latency, with no lower-level access and no reinstall.
+func TestOutstandingEntryOutlivesEviction(t *testing.T) {
+	dram := DefaultDRAM()
+	c := NewCache(CacheConfig{Name: "c", SizeBytes: 2 * LineBytes, Ways: 2, HitLatency: 2, MSHRs: 4}, dram)
+	for i := int64(0); i < 3; i++ {
+		c.Access(uint64(i)*LineBytes, false, i) // line 2 evicts line 0
+	}
+	before := dram.Accesses()
+	r := c.Access(0, false, 5000)
+	if got := c.Stats().MergedMiss; got != 1 {
+		t.Errorf("MergedMiss = %d, want 1", got)
+	}
+	if got := dram.Accesses() - before; got != 0 {
+		t.Errorf("DRAM accesses +%d, want +0", got)
+	}
+	if r.Done != 5002 {
+		t.Errorf("Done = %d, want 5002", r.Done)
+	}
+	if c.Contains(0) {
+		t.Error("line 0 was reinstalled")
+	}
+}
+
+// TestPendingMirrorTracksMap checks the per-line copy of the outstanding
+// map after every access of a seeded random stream, through hits that wait
+// for a fill, hits that drop a stale entry, evictions, write allocations and
+// the size-bounded sweep.
+func TestPendingMirrorTracksMap(t *testing.T) {
+	c := NewCache(CacheConfig{Name: "c", SizeBytes: 1 << 14, Ways: 4, HitLatency: 2, MSHRs: 8}, DefaultDRAM())
+	rng := rand.New(rand.NewSource(1))
+	swept := false
+	for i := 0; i < 40000; i++ {
+		// A wide address range keeps the map above the sweep threshold
+		// while a narrow hot range produces hits on pending lines.
+		lineAddr := uint64(rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			lineAddr = uint64(rng.Intn(1 << 16))
+		}
+		n := len(c.outstanding)
+		c.Access(lineAddr*LineBytes, rng.Intn(8) == 0, int64(i*4))
+		if len(c.outstanding) < n-1 { // a hit drops at most one entry
+			swept = true
+		}
+		for j := range c.lines {
+			l := &c.lines[j]
+			if !l.valid {
+				continue
+			}
+			addr := l.tag*uint64(c.nsets) + uint64(j/c.cfg.Ways)
+			pend, ok := c.outstanding[addr]
+			if l.pending != ok || (ok && l.pend != pend) {
+				t.Fatalf("access %d: line %#x pending=%v pend=%d, map has %d (present %v)",
+					i, addr, l.pending, l.pend, pend, ok)
+			}
+		}
+	}
+	if !swept {
+		t.Fatal("stream never shrank the outstanding map; the sweep went untested")
 	}
 }

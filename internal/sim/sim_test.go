@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -249,5 +250,25 @@ func TestMemParamsEVEWaySplit(t *testing.T) {
 	}
 	if r.Breakdown.Total() == 0 {
 		t.Fatal("EVE cell missing breakdown under overridden geometry")
+	}
+}
+
+// TestRunAllocatesInProportionToWork guards the growing flat store: a
+// Small() vvadd run touches well under 1 MB of simulated memory, so it must
+// not allocate anywhere near the 64 MiB capacity every run is given.
+func TestRunAllocatesInProportionToWork(t *testing.T) {
+	k, err := workloads.ByName(workloads.Small(), "vvadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOne(t, Config{Kind: SysO3}, k) // warm any one-time initialisation
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runOne(t, Config{Kind: SysO3}, k)
+	runtime.ReadMemStats(&after)
+	const limit = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("one Small() vvadd run on O3 allocated %.1f MB, want under %d MB",
+			float64(got)/(1<<20), limit>>20)
 	}
 }
