@@ -86,7 +86,7 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 		suite = workloads.Small()
 	}
 	var err error
-	if cfg.kernels, err = selectKernels(suite, *kernelCSV); err != nil {
+	if cfg.kernels, err = workloads.Select(suite, *kernelCSV); err != nil {
 		fmt.Fprintln(w, "eve-bench:", err)
 		return 2
 	}
@@ -182,23 +182,6 @@ func loadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: not an eve-bench report (no schema field)", path)
 	}
 	return &rep, nil
-}
-
-// selectKernels resolves a comma-separated subset against the suite, or the
-// whole suite for an empty selector.
-func selectKernels(suite []*workloads.Kernel, csv string) ([]*workloads.Kernel, error) {
-	if csv == "" {
-		return suite, nil
-	}
-	var out []*workloads.Kernel
-	for _, name := range strings.Split(csv, ",") {
-		k, err := workloads.ByName(suite, strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 // selectSystems resolves a comma-separated subset of Table III system names,

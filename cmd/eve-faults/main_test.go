@@ -41,18 +41,18 @@ func TestReportBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectKernels resolves names against the suite and rejects unknowns.
+// TestSelectKernels resolves -kernels names against the suite and rejects unknowns.
 func TestSelectKernels(t *testing.T) {
 	suite := workloads.Small()
-	all, err := selectKernels(suite, "")
+	all, err := workloads.Select(suite, "")
 	if err != nil || len(all) != len(suite) {
 		t.Fatalf("empty selection = %d kernels, %v; want whole suite", len(all), err)
 	}
-	two, err := selectKernels(suite, "vvadd, k-means")
+	two, err := workloads.Select(suite, "vvadd, k-means")
 	if err != nil || len(two) != 2 || two[0].Name != "vvadd" || two[1].Name != "k-means" {
-		t.Fatalf("selectKernels(vvadd, k-means) = %v, %v", two, err)
+		t.Fatalf("Select(vvadd, k-means) = %v, %v", two, err)
 	}
-	if _, err := selectKernels(suite, "no-such-kernel"); err == nil {
+	if _, err := workloads.Select(suite, "no-such-kernel"); err == nil {
 		t.Fatal("unknown kernel name accepted")
 	}
 }

@@ -1,18 +1,16 @@
 package faults
 
 import (
-	"repro/internal/bitmat"
 	"repro/internal/circuits"
 	"repro/internal/isa"
 	"repro/internal/sram"
-	"repro/internal/uop"
 	"repro/internal/uprog"
 )
 
 // Datapath executes vector instructions on a real EVE circuit stack,
-// implementing isa.Datapath. Every operation the timing model costs with a
-// micro-program (internal/eve.costModel.measure) runs that same
-// micro-program here, against a machine sized to hold the full hardware
+// implementing isa.Datapath. Every operation uprog.Decode maps to micro-
+// programs runs those programs here — the same ones the timing model
+// (internal/eve) costs — against a machine sized to hold the full hardware
 // vector length; .vx forms stage their scalar through the reserved
 // broadcast scratch register exactly as the VSU does. Operations that move
 // data through the ports rather than the arrays — loads, slides, gathers,
@@ -31,26 +29,19 @@ type Datapath struct {
 	mach  *uprog.Machine
 	hwvl  int
 	cols  int
-	progs map[progKey]*uop.Program
+	progs map[progKey][]uprog.Step
 }
 
-// progKey identifies a cached micro-program. Unlike the timing model's
-// costKey, it must include the concrete register operands: generated
-// programs bake register row ids into their tuples, so a program built for
-// one (d, a, b) triple cannot be reused for another.
+// progKey identifies a cached micro-program sequence. Unlike the timing
+// model's costKey, it must include the concrete register operands:
+// generated programs bake register row ids into their tuples, so a program
+// built for one (d, a, b) triple cannot be reused for another.
 type progKey struct {
 	op      isa.Op
 	vx      bool
 	masked  bool
 	imm     uint32
 	d, a, b int
-	bcast   bool // the .vx broadcast prologue program
-}
-
-// progRun is one micro-program plus the data_in environment it expects.
-type progRun struct {
-	p   *uop.Program
-	env *circuits.Env
 }
 
 // NewDatapath builds a substrate for parallelization factor n holding hwvl
@@ -63,7 +54,7 @@ func NewDatapath(n, hwvl, maxCycles int) *Datapath {
 		mach:  m,
 		hwvl:  hwvl,
 		cols:  m.Stack.Array().Cols(),
-		progs: make(map[progKey]*uop.Program),
+		progs: make(map[progKey][]uprog.Step),
 	}
 }
 
@@ -115,19 +106,38 @@ func (dp *Datapath) Read(r int) []uint32 {
 // correct result for the destination register; the return value is what the
 // register actually holds after the substrate executed the instruction.
 func (dp *Datapath) Exec(in *isa.Instr, golden []uint32) []uint32 {
-	if runs, ok := dp.plan(in); ok {
-		return dp.runNative(in, runs, golden)
+	if steps, ok := dp.decode(in); ok {
+		return dp.runNative(in, steps, golden)
 	}
 	dp.install(in, golden)
 	return golden
 }
 
-// runNative executes the instruction's micro-program sequence. Micro-
-// programs operate on every element the machine holds, while the ISA writes
-// only the first VL, so the destination's tail is saved around the run and
-// restored through the data port — the substrate equivalent of RVV's
-// tail-undisturbed policy.
-func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []uint32 {
+// decode returns the instruction's micro-program sequence from
+// uprog.Decode, cached per operand form. ok is false for port-only
+// operations, which install instead.
+func (dp *Datapath) decode(in *isa.Instr) ([]uprog.Step, bool) {
+	key := progKey{
+		op: in.Op, vx: in.Kind == isa.KindVX, masked: in.Masked, imm: uprog.ShiftAmount(in),
+		d: in.Vd, a: in.Vs1, b: in.Vs2,
+	}
+	if steps, ok := dp.progs[key]; ok {
+		return steps, true
+	}
+	steps, ok := uprog.Decode(dp.mach.Layout, in, in.Vd, in.Vs1, in.Vs2)
+	if ok {
+		dp.progs[key] = steps
+	}
+	return steps, ok
+}
+
+// runNative executes the instruction's micro-program sequence, building
+// each step's data_in rows afresh (a .vx broadcast carries this
+// instruction's scalar). Micro-programs operate on every element the
+// machine holds, while the ISA writes only the first VL, so the
+// destination's tail is saved around the run and restored through the data
+// port — the substrate equivalent of RVV's tail-undisturbed policy.
+func (dp *Datapath) runNative(in *isa.Instr, steps []uprog.Step, golden []uint32) []uint32 {
 	vd := in.Vd
 	vl := min(in.VL, dp.hwvl)
 	var tail []uint32
@@ -137,8 +147,12 @@ func (dp *Datapath) runNative(in *isa.Instr, runs []progRun, golden []uint32) []
 			tail[i] = dp.mach.LoadElement(vd, vl+i)
 		}
 	}
-	for _, r := range runs {
-		dp.mach.Run(r.p, r.env)
+	for _, s := range steps {
+		var env *circuits.Env
+		if rows := s.Ext.Rows(dp.mach.Layout, dp.cols, in.Scalar); rows != nil {
+			env = &circuits.Env{ExtRows: rows}
+		}
+		dp.mach.Run(s.Prog, env)
 	}
 	for i, v := range tail {
 		dp.mach.StoreElement(vd, vl+i, v)
@@ -166,142 +180,4 @@ func (dp *Datapath) install(in *isa.Instr, golden []uint32) {
 			dp.mach.StoreElement(in.Vd, i, golden[i])
 		}
 	}
-}
-
-// plan maps an instruction to its micro-program sequence, mirroring the
-// timing model's op→program mapping (internal/eve.costModel.measure) so
-// execution and cycle accounting stay in lockstep. ok is false for port-
-// only operations, which install instead.
-func (dp *Datapath) plan(in *isa.Instr) ([]progRun, bool) {
-	l := dp.mach.Layout
-	bc := l.ScratchID(uprog.BroadcastScratch)
-	vx := in.Kind == isa.KindVX
-	d, a, b := in.Vd, in.Vs1, in.Vs2
-	if vx {
-		b = bc
-	}
-	m := in.Masked
-	key := progKey{op: in.Op, vx: vx, masked: m, d: d, a: a, b: b}
-
-	// The .vx prologue: stage the scalar into the broadcast scratch
-	// register through data_in, unmasked, exactly as broadcastCost models.
-	bcast := func() progRun {
-		p := dp.cached(progKey{bcast: true}, func() *uop.Program {
-			return uprog.WriteExt(l, bc, false)
-		})
-		return progRun{p, &circuits.Env{ExtRows: uprog.BroadcastRows(l, dp.cols, in.Scalar)}}
-	}
-	// with: the main program, prefixed by the broadcast prologue for .vx.
-	with := func(gen func() *uop.Program, env *circuits.Env) ([]progRun, bool) {
-		main := progRun{dp.cached(key, gen), env}
-		if vx {
-			return []progRun{bcast(), main}, true
-		}
-		return []progRun{main}, true
-	}
-
-	switch in.Op {
-	case isa.OpAdd:
-		return with(func() *uop.Program { return uprog.Add(l, d, a, b, m) }, nil)
-	case isa.OpSub:
-		return with(func() *uop.Program { return uprog.Sub(l, d, a, b, m) }, nil)
-	case isa.OpRSub:
-		return with(func() *uop.Program { return uprog.RSub(l, d, a, b, m) }, nil)
-	case isa.OpAnd:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcAnd, d, a, b, m) }, nil)
-	case isa.OpOr:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcOr, d, a, b, m) }, nil)
-	case isa.OpXor:
-		return with(func() *uop.Program { return uprog.Logic(l, uop.SrcXor, d, a, b, m) }, nil)
-	case isa.OpSAdd:
-		return with(func() *uop.Program { return uprog.SatAdd(l, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.SatConstRows(l, dp.cols)})
-	case isa.OpSAddU:
-		return with(func() *uop.Program { return uprog.SatAddU(l, d, a, b, m) }, nil)
-	case isa.OpSSub:
-		return with(func() *uop.Program { return uprog.SatSub(l, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.SatConstRows(l, dp.cols)})
-	case isa.OpSSubU:
-		return with(func() *uop.Program { return uprog.SatSubU(l, d, a, b, m) }, nil)
-	case isa.OpMin:
-		return with(func() *uop.Program { return uprog.MinMax(l, false, true, d, a, b, m) }, nil)
-	case isa.OpMax:
-		return with(func() *uop.Program { return uprog.MinMax(l, true, true, d, a, b, m) }, nil)
-	case isa.OpMinU:
-		return with(func() *uop.Program { return uprog.MinMax(l, false, false, d, a, b, m) }, nil)
-	case isa.OpMaxU:
-		return with(func() *uop.Program { return uprog.MinMax(l, true, false, d, a, b, m) }, nil)
-	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		kind := map[isa.Op]uprog.ShiftKind{
-			isa.OpSll: uprog.ShSLL, isa.OpSrl: uprog.ShSRL, isa.OpSra: uprog.ShSRA,
-		}[in.Op]
-		if vx {
-			// The VSU resolves the scalar amount at decode: no broadcast.
-			k := int(in.Scalar & 31)
-			key.imm = uint32(k)
-			p := dp.cached(key, func() *uop.Program { return uprog.ShiftImm(l, kind, d, a, k, m) })
-			var env *circuits.Env
-			if kind == uprog.ShSRA && k%l.N != 0 {
-				env = &circuits.Env{ExtRows: []bitmat.Row{uprog.TopBitsRow(l, dp.cols, k%l.N)}}
-			}
-			return []progRun{{p, env}}, true
-		}
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.ShiftVV(l, kind, d, a, b, m) }), nil}}, true
-	case isa.OpMerge:
-		// Merge reads v0 itself; the Masked bit on the instruction is not a
-		// tail predicate.
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.Merge(l, d, a, b) }), nil}}, true
-	case isa.OpMv:
-		if vx {
-			// vmv.v.x writes the broadcast directly to the destination.
-			p := dp.cached(key, func() *uop.Program { return uprog.WriteExt(l, d, m) })
-			return []progRun{{p, &circuits.Env{ExtRows: uprog.BroadcastRows(l, dp.cols, in.Scalar)}}}, true
-		}
-		return []progRun{{dp.cached(key, func() *uop.Program { return uprog.Copy(l, d, a, m) }), nil}}, true
-	case isa.OpMul:
-		return with(func() *uop.Program { return uprog.Mul(l, d, a, b, m, false) }, nil)
-	case isa.OpMacc:
-		return with(func() *uop.Program { return uprog.Mul(l, d, a, b, m, true) }, nil)
-	case isa.OpMulH:
-		return with(func() *uop.Program { return uprog.MulH(l, d, a, b, m) }, nil)
-	case isa.OpDiv:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivS, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
-	case isa.OpDivU:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.DivU, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
-	case isa.OpRem:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemS, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
-	case isa.OpRemU:
-		return with(func() *uop.Program { return uprog.DivRem(l, uprog.RemU, d, a, b, m) },
-			&circuits.Env{ExtRows: uprog.BitConstRows(l, dp.cols)})
-	case isa.OpMSeq:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpEq, d, a, b, m) }, nil)
-	case isa.OpMSne:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpNe, d, a, b, m) }, nil)
-	case isa.OpMSlt:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLt, d, a, b, m) }, nil)
-	case isa.OpMSltU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLtu, d, a, b, m) }, nil)
-	case isa.OpMSle:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLe, d, a, b, m) }, nil)
-	case isa.OpMSleU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpLeu, d, a, b, m) }, nil)
-	case isa.OpMSgt:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpGt, d, a, b, m) }, nil)
-	case isa.OpMSgtU:
-		return with(func() *uop.Program { return uprog.Compare(l, uprog.CmpGtu, d, a, b, m) }, nil)
-	}
-	return nil, false
-}
-
-// cached memoizes built micro-programs per (op, form, operands) key.
-func (dp *Datapath) cached(key progKey, gen func() *uop.Program) *uop.Program {
-	if p, ok := dp.progs[key]; ok {
-		return p
-	}
-	p := gen()
-	dp.progs[key] = p
-	return p
 }

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -168,4 +170,52 @@ func TestFPSaxpyFunctional(t *testing.T) {
 	if err := k.Run(b, false)(); err != nil {
 		t.Fatalf("scalar: %v", err)
 	}
+}
+
+// FuzzSelect holds the -kernels selector's contract on arbitrary input: it
+// never panics, a successful selection names one suite kernel per list
+// entry, and any subset of the suite's names (picked by mask, in suite
+// order) selects exactly those kernels. The empty subset joins to "", which
+// selects the whole suite.
+func FuzzSelect(f *testing.F) {
+	suite := Small()
+	f.Add("", uint16(0))
+	f.Add("vvadd, k-means", uint16(0b101))
+	f.Add("no-such-kernel", uint16(0x3ff))
+	f.Add(",", uint16(1))
+	f.Add("vvadd,,spmv", uint16(0xffff))
+	f.Fuzz(func(t *testing.T, csv string, mask uint16) {
+		got, err := Select(suite, csv)
+		switch {
+		case csv == "":
+			if err != nil || len(got) != len(suite) {
+				t.Errorf("Select(%q) = %d kernels, %v; want the whole suite", csv, len(got), err)
+			}
+		case err == nil:
+			if len(got) != strings.Count(csv, ",")+1 {
+				t.Errorf("Select(%q) = %d kernels for %d entries", csv, len(got), strings.Count(csv, ",")+1)
+			}
+			for _, k := range got {
+				if !slices.Contains(suite, k) {
+					t.Errorf("Select(%q) returned %q, not a suite kernel", csv, k.Name)
+				}
+			}
+		}
+
+		var names []string
+		var want []*Kernel
+		for i, k := range suite {
+			if mask&(1<<i) != 0 {
+				names = append(names, k.Name)
+				want = append(want, k)
+			}
+		}
+		if len(want) == 0 {
+			want = suite
+		}
+		got, err = Select(suite, strings.Join(names, ","))
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("Select(%q) = %v, %v; want those kernels", strings.Join(names, ","), got, err)
+		}
+	})
 }
