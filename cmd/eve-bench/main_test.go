@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -302,4 +303,66 @@ func TestCheckedInBaselineIsCurrent(t *testing.T) {
 			"If the timing-model change is intentional, refresh the baseline.\n%s",
 			len(diffs), tbl.String())
 	}
+}
+
+// FuzzSelectSystems holds the -systems selector's contract on arbitrary
+// input: it never panics, a successful selection names one Table III
+// system per list entry, and any subset of sim.AllSystems() names (picked
+// by mask, in any letter case) selects exactly those systems. The empty
+// subset joins to "", which selects every system.
+func FuzzSelectSystems(f *testing.F) {
+	all := sim.AllSystems()
+	f.Add("", uint16(0), uint64(0))
+	f.Add("o3+eve-8, IO", uint16(0b1000010001), uint64(0x5555))
+	f.Add("O3+EVE-64", uint16(0x3ff), uint64(^uint64(0)))
+	f.Add(",", uint16(1), uint64(1))
+	f.Add("O3,,O3+DV", uint16(0xffff), uint64(0xf0f0))
+	f.Fuzz(func(t *testing.T, csv string, mask uint16, upper uint64) {
+		got, err := selectSystems(csv)
+		switch {
+		case csv == "":
+			if err != nil || len(got) != len(all) {
+				t.Errorf("selectSystems(%q) = %d systems, %v; want all %d", csv, len(got), err, len(all))
+			}
+		case err == nil:
+			if len(got) != strings.Count(csv, ",")+1 {
+				t.Errorf("selectSystems(%q) = %d systems for %d entries", csv, len(got), strings.Count(csv, ",")+1)
+			}
+			for _, s := range got {
+				if !slices.Contains(all, s) {
+					t.Errorf("selectSystems(%q) returned %+v, not a Table III system", csv, s)
+				}
+			}
+		}
+
+		var names, want []string
+		for i, s := range all {
+			if mask&(1<<i) != 0 {
+				names = append(names, s.Name())
+				want = append(want, s.Name())
+			}
+		}
+		if len(want) == 0 {
+			for _, s := range all {
+				want = append(want, s.Name())
+			}
+		}
+		// Flip each letter's case by one bit of upper, cycling.
+		joined := []byte(strings.Join(names, ","))
+		for i, c := range joined {
+			if upper&(1<<(i%64)) != 0 {
+				joined[i] = strings.ToUpper(string(c))[0]
+			} else {
+				joined[i] = strings.ToLower(string(c))[0]
+			}
+		}
+		got, err = selectSystems(string(joined))
+		var gotNames []string
+		for _, s := range got {
+			gotNames = append(gotNames, s.Name())
+		}
+		if err != nil || !slices.Equal(gotNames, want) {
+			t.Errorf("selectSystems(%q) = %v, %v; want %v", joined, gotNames, err, want)
+		}
+	})
 }

@@ -24,6 +24,11 @@ type Builder struct {
 	mix    Mix
 	masked bool
 	dp     Datapath
+
+	// cur holds the instruction being emitted. Sinks and datapaths receive
+	// &cur and must not keep it past the call, so the trace allocates
+	// nothing per vector instruction.
+	cur Instr
 }
 
 // NewBuilder returns a builder for a machine with the given hardware vector
@@ -59,7 +64,12 @@ func (b *Builder) SetMasked(on bool) { b.masked = on }
 // data when the substrate is attached — attach before the kernel runs.
 func (b *Builder) SetDatapath(dp Datapath) { b.dp = dp }
 
-func (b *Builder) emitV(in *Instr) {
+// emitV stamps the active vector length and mask onto in, counts it in the
+// mix, and streams it to the sink and the datapath from the builder-owned
+// cur slot.
+func (b *Builder) emitV(instr Instr) {
+	b.cur = instr
+	in := &b.cur
 	in.VL = b.vl
 	in.Masked = in.Masked || b.masked
 	b.mix.VectorInstrs++
@@ -116,7 +126,8 @@ func (b *Builder) SetVL(avl int) int {
 	b.mix.VectorInstrs++
 	b.mix.ByClass[ClassCtrl]++
 	if b.sink != nil {
-		b.sink.Emit(Event{Kind: EvVector, V: &Instr{Op: OpSetVL, VL: b.vl}})
+		b.cur = Instr{Op: OpSetVL, VL: b.vl}
+		b.sink.Emit(Event{Kind: EvVector, V: &b.cur})
 	}
 	return b.vl
 }
@@ -126,7 +137,8 @@ func (b *Builder) Fence() {
 	b.mix.VectorInstrs++
 	b.mix.ByClass[ClassCtrl]++
 	if b.sink != nil {
-		b.sink.Emit(Event{Kind: EvVector, V: &Instr{Op: OpFence, VL: b.vl}})
+		b.cur = Instr{Op: OpFence, VL: b.vl}
+		b.sink.Emit(Event{Kind: EvVector, V: &b.cur})
 	}
 }
 
@@ -138,7 +150,7 @@ func (b *Builder) binVV(op Op, vd, vs1, vs2 int, f func(x, y uint32) uint32) {
 			d[i] = f(s1[i], s2[i])
 		}
 	}
-	b.emitV(&Instr{Op: op, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: op, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 // binVX executes and emits a vector-scalar binary operation.
@@ -149,7 +161,7 @@ func (b *Builder) binVX(op Op, vd, vs1 int, x uint32, f func(a, y uint32) uint32
 			d[i] = f(s1[i], x)
 		}
 	}
-	b.emitV(&Instr{Op: op, Kind: KindVX, Vd: vd, Vs1: vs1, Scalar: x})
+	b.emitV(Instr{Op: op, Kind: KindVX, Vd: vd, Vs1: vs1, Scalar: x})
 }
 
 // Integer ALU operations.
@@ -250,7 +262,7 @@ func (b *Builder) MaccVX(vd, vs1 int, x uint32) {
 			d[i] += x * s1[i]
 		}
 	}
-	b.emitV(&Instr{Op: OpMacc, Kind: KindVX, Vd: vd, Vs1: vs1, Scalar: x})
+	b.emitV(Instr{Op: OpMacc, Kind: KindVX, Vd: vd, Vs1: vs1, Scalar: x})
 }
 
 // Macc performs vd[i] += vs1[i]*vs2[i] (vmacc.vv).
@@ -261,7 +273,7 @@ func (b *Builder) Macc(vd, vs1, vs2 int) {
 			d[i] += s1[i] * s2[i]
 		}
 	}
-	b.emitV(&Instr{Op: OpMacc, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpMacc, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 func (b *Builder) DivU(vd, vs1, vs2 int) {
@@ -330,7 +342,7 @@ func (b *Builder) Merge(vd, vs1, vs2 int) {
 			d[i] = s2[i]
 		}
 	}
-	b.emitV(&Instr{Op: OpMerge, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2, Masked: true})
+	b.emitV(Instr{Op: OpMerge, Kind: KindVV, Vd: vd, Vs1: vs1, Vs2: vs2, Masked: true})
 }
 
 // Mv copies a register (vmv.v.v).
@@ -351,7 +363,7 @@ func (b *Builder) VId(vd int) {
 			d[i] = uint32(i)
 		}
 	}
-	b.emitV(&Instr{Op: OpVId, Kind: KindVV, Vd: vd})
+	b.emitV(Instr{Op: OpVId, Kind: KindVV, Vd: vd})
 }
 
 // Memory operations. Loads and stores move 32-bit elements; indexed forms
@@ -362,7 +374,7 @@ func (b *Builder) Load(vd int, addr uint64) {
 	for i := 0; i < b.vl; i++ {
 		d[i] = b.Mem.LoadU32(addr + uint64(4*i))
 	}
-	b.emitV(&Instr{Op: OpLoad, Vd: vd, Addr: addr})
+	b.emitV(Instr{Op: OpLoad, Vd: vd, Addr: addr})
 }
 
 func (b *Builder) Store(vs int, addr uint64) {
@@ -371,7 +383,7 @@ func (b *Builder) Store(vs int, addr uint64) {
 	for i := 0; i < b.vl; i++ {
 		b.Mem.StoreU32(addr+uint64(4*i), s[i])
 	}
-	b.emitV(&Instr{Op: OpStore, Vs1: vs, Addr: addr})
+	b.emitV(Instr{Op: OpStore, Vs1: vs, Addr: addr})
 }
 
 func (b *Builder) LoadStride(vd int, addr uint64, stride int64) {
@@ -379,7 +391,7 @@ func (b *Builder) LoadStride(vd int, addr uint64, stride int64) {
 	for i := 0; i < b.vl; i++ {
 		d[i] = b.Mem.LoadU32(uint64(int64(addr) + int64(i)*stride))
 	}
-	b.emitV(&Instr{Op: OpLoadStride, Vd: vd, Addr: addr, Stride: stride})
+	b.emitV(Instr{Op: OpLoadStride, Vd: vd, Addr: addr, Stride: stride})
 }
 
 func (b *Builder) StoreStride(vs int, addr uint64, stride int64) {
@@ -388,7 +400,7 @@ func (b *Builder) StoreStride(vs int, addr uint64, stride int64) {
 	for i := 0; i < b.vl; i++ {
 		b.Mem.StoreU32(uint64(int64(addr)+int64(i)*stride), s[i])
 	}
-	b.emitV(&Instr{Op: OpStoreStride, Vs1: vs, Addr: addr, Stride: stride})
+	b.emitV(Instr{Op: OpStoreStride, Vs1: vs, Addr: addr, Stride: stride})
 }
 
 func (b *Builder) LoadIdx(vd int, base uint64, vidx int) {
@@ -399,7 +411,7 @@ func (b *Builder) LoadIdx(vd int, base uint64, vidx int) {
 		addrs[i] = base + uint64(ix[i])
 		d[i] = b.Mem.LoadU32(addrs[i])
 	}
-	b.emitV(&Instr{Op: OpLoadIdx, Vd: vd, Vs2: vidx, Addr: base, Addrs: addrs})
+	b.emitV(Instr{Op: OpLoadIdx, Vd: vd, Vs2: vidx, Addr: base, Addrs: addrs})
 }
 
 func (b *Builder) StoreIdx(vs int, base uint64, vidx int) {
@@ -410,7 +422,7 @@ func (b *Builder) StoreIdx(vs int, base uint64, vidx int) {
 		addrs[i] = base + uint64(ix[i])
 		b.Mem.StoreU32(addrs[i], s[i])
 	}
-	b.emitV(&Instr{Op: OpStoreIdx, Vs1: vs, Vs2: vidx, Addr: base, Addrs: addrs})
+	b.emitV(Instr{Op: OpStoreIdx, Vs1: vs, Vs2: vidx, Addr: base, Addrs: addrs})
 }
 
 // Reductions follow RVV: vd[0] = vs1[0] reduced with vs2[0..vl-1].
@@ -422,7 +434,7 @@ func (b *Builder) RedSum(vd, vs2, vs1 int) {
 		acc += b.regs[vs2][i]
 	}
 	b.regs[vd][0] = acc
-	b.emitV(&Instr{Op: OpRedSum, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpRedSum, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 func (b *Builder) RedMin(vd, vs2, vs1 int) {
@@ -432,7 +444,7 @@ func (b *Builder) RedMin(vd, vs2, vs1 int) {
 		acc = min(acc, int32(b.regs[vs2][i]))
 	}
 	b.regs[vd][0] = uint32(acc)
-	b.emitV(&Instr{Op: OpRedMin, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpRedMin, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 func (b *Builder) RedMax(vd, vs2, vs1 int) {
@@ -442,7 +454,7 @@ func (b *Builder) RedMax(vd, vs2, vs1 int) {
 		acc = max(acc, int32(b.regs[vs2][i]))
 	}
 	b.regs[vd][0] = uint32(acc)
-	b.emitV(&Instr{Op: OpRedMax, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpRedMax, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 func (b *Builder) RedMinU(vd, vs2, vs1 int) {
@@ -452,7 +464,7 @@ func (b *Builder) RedMinU(vd, vs2, vs1 int) {
 		acc = min(acc, b.regs[vs2][i])
 	}
 	b.regs[vd][0] = acc
-	b.emitV(&Instr{Op: OpRedMinU, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpRedMinU, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 // Cross-element operations.
@@ -464,7 +476,7 @@ func (b *Builder) Slide1Up(vd, vs int, x uint32) {
 	out[0] = x
 	copy(out[1:], s[:b.vl-1])
 	copy(b.regs[vd], out)
-	b.emitV(&Instr{Op: OpSlide1Up, Vd: vd, Vs1: vs, Scalar: x})
+	b.emitV(Instr{Op: OpSlide1Up, Vd: vd, Vs1: vs, Scalar: x})
 }
 
 func (b *Builder) Slide1Down(vd, vs int, x uint32) {
@@ -474,7 +486,7 @@ func (b *Builder) Slide1Down(vd, vs int, x uint32) {
 	copy(out, s[1:b.vl])
 	out[b.vl-1] = x
 	copy(b.regs[vd], out)
-	b.emitV(&Instr{Op: OpSlide1Down, Vd: vd, Vs1: vs, Scalar: x})
+	b.emitV(Instr{Op: OpSlide1Down, Vd: vd, Vs1: vs, Scalar: x})
 }
 
 // RGather performs vd[i] = vs2[vs1[i]] with out-of-range indices yielding 0.
@@ -488,7 +500,7 @@ func (b *Builder) RGather(vd, vs2, vs1 int) {
 		}
 	}
 	copy(b.regs[vd], out)
-	b.emitV(&Instr{Op: OpRGather, Vd: vd, Vs1: vs1, Vs2: vs2})
+	b.emitV(Instr{Op: OpRGather, Vd: vd, Vs1: vs1, Vs2: vs2})
 }
 
 // Scalar interface.
@@ -498,14 +510,14 @@ func (b *Builder) RGather(vd, vs2, vs1 int) {
 func (b *Builder) MvXS(vs int) uint32 {
 	b.syncDP(vs)
 	v := b.regs[vs][0]
-	b.emitV(&Instr{Op: OpMvXS, Vs1: vs})
+	b.emitV(Instr{Op: OpMvXS, Vs1: vs})
 	return v
 }
 
 // MvSX writes the scalar into element 0 (vmv.s.x).
 func (b *Builder) MvSX(vd int, x uint32) {
 	b.regs[vd][0] = x
-	b.emitV(&Instr{Op: OpMvSX, Vd: vd, Scalar: x})
+	b.emitV(Instr{Op: OpMvSX, Vd: vd, Scalar: x})
 }
 
 // Scalar-side trace emission: the loop control, address arithmetic and

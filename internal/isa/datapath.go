@@ -24,6 +24,7 @@ type Datapath interface {
 	// builder-computed destination state; substrates install it directly
 	// for operations the vector arrays do not execute natively (loads
 	// arriving through the DTUs, VRU results, element-index streams).
+	// Like Sink.Emit, Exec must not retain in past the call.
 	Exec(in *Instr, golden []uint32) []uint32
 	// Read returns the live contents of vector register r (HWVL elements).
 	Read(r int) []uint32

@@ -36,11 +36,15 @@ type Event struct {
 	Kind EventKind
 	N    int
 	Addr uint64
-	V    *Instr
+	V    *Instr // the vector instruction (EvVector); valid only during Emit
 }
 
 // Sink consumes the dynamic trace as it is generated. Timing models
 // implement Sink; a nil sink runs the workload functionally only.
+//
+// Emit must not retain ev.V: the Builder reuses one Instr for every vector
+// instruction, so the pointer is only valid during the call. A sink that
+// records the trace copies *ev.V.
 type Sink interface {
 	Emit(ev Event)
 }

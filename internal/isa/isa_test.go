@@ -8,7 +8,15 @@ import (
 
 type collector struct{ evs []Event }
 
-func (c *collector) Emit(ev Event) { c.evs = append(c.evs, ev) }
+// Emit records ev. Event.V is only valid during the call, so vector
+// instructions are copied.
+func (c *collector) Emit(ev Event) {
+	if ev.V != nil {
+		in := *ev.V
+		ev.V = &in
+	}
+	c.evs = append(c.evs, ev)
+}
 
 func newB(t *testing.T, hwvl int) (*Builder, *collector) {
 	t.Helper()
@@ -180,5 +188,44 @@ func TestClassify(t *testing.T) {
 	}
 	if !IsStore(OpStore) || IsStore(OpLoad) {
 		t.Error("IsStore misclassifies")
+	}
+}
+
+// opSum is a Sink that reads each vector instruction during Emit and keeps
+// nothing past it, as Sink requires.
+type opSum struct{ sum int }
+
+func (s *opSum) Emit(ev Event) {
+	if ev.V != nil {
+		s.sum += int(ev.V.Op) + ev.V.VL
+	}
+}
+
+// TestVectorEmitAllocatesNothing pins the builder-owned Instr: streaming
+// non-indexed vector instructions into a sink that does not retain them
+// allocates nothing per instruction.
+func TestVectorEmitAllocatesNothing(t *testing.T) {
+	sink := &opSum{}
+	b := NewBuilder(mem.NewFlat(1<<16), 8, sink)
+	base := b.Mem.Alloc(1024, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		b.SetVL(8)
+		b.Load(1, base)
+		b.LoadStride(2, base, 8)
+		b.Add(3, 1, 2)
+		b.MulVX(3, 3, 5)
+		b.SetMasked(true)
+		b.Macc(3, 1, 2)
+		b.SetMasked(false)
+		b.RedSum(4, 3, 1)
+		b.Store(3, base+512)
+		b.StoreStride(4, base+768, 4)
+		b.Fence()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run of 10 vector instructions, want 0", allocs)
+	}
+	if sink.sum == 0 {
+		t.Fatal("sink saw no vector instructions")
 	}
 }

@@ -14,17 +14,20 @@ var HotallocPackages = []string{
 	"repro/internal/eve",
 	"repro/internal/cpu",
 	"repro/internal/uprog",
+	"repro/internal/isa",
 }
 
 // hotallocRoots are the entry points of the per-cycle work in those
-// packages: the timing models' advance/access methods and the μ-program
-// sequencer. Everything they reach inside the same package is hot too.
+// packages: the timing models' advance/access methods, the μ-program
+// sequencer, and the builder's per-vector-instruction emits. Everything they
+// reach inside the same package is hot too.
 var hotallocRoots = map[string]bool{
 	"Cycle": true, "Tick": true, "Step": true,
 	"Access": true, "CoreAccess": true,
 	"Handle": true, "Drain": true,
 	"Ops": true, "Muls": true, "Load": true, "Store": true, "AdvanceTo": true,
 	"Run": true, "Exec": true, "exec": true,
+	"emitV": true, "SetVL": true, "Fence": true,
 }
 
 // Hotalloc flags heap allocations on the simulator's per-cycle paths: the

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/probe"
@@ -54,7 +55,7 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	// pending mirrors the outstanding map while the line is resident, so
+	// pending mirrors the outstanding table while the line is resident, so
 	// hits never consult it: pending is true exactly when outstanding holds
 	// the line's address, and pend is that entry's completion time.
 	pending bool
@@ -115,10 +116,18 @@ type Cache struct {
 	cfg   CacheConfig
 	lines []line // set-major: set i holds lines[i*cfg.Ways : (i+1)*cfg.Ways]
 	nsets int
-	banks []int64
-	mshrs releaseHeap
+	// setMask and setBits split a line address into set (low bits) and
+	// tag (the rest); nsets is a power of two.
+	setMask uint64
+	setBits uint
+	banks   []int64
+	// bankMask selects an access's bank by mask when the bank count is a
+	// power of two (every Table III level); it is -1 otherwise, and the
+	// bank is taken by remainder.
+	bankMask int
+	mshrs    releaseHeap
 	// outstanding maps line address -> completion time of the in-flight miss.
-	outstanding map[uint64]int64
+	outstanding pendingTable
 	lower       Level
 	clock       uint64 // LRU tick
 	stats       CacheStats
@@ -167,15 +176,20 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
-	c := &Cache{
-		cfg:         cfg,
-		nsets:       nsets,
-		lines:       make([]line, nsets*cfg.Ways),
-		banks:       make([]int64, cfg.Banks),
-		outstanding: make(map[uint64]int64),
-		lower:       lower,
+	bankMask := -1
+	if cfg.Banks&(cfg.Banks-1) == 0 {
+		bankMask = cfg.Banks - 1
 	}
-	return c
+	return &Cache{
+		cfg:      cfg,
+		nsets:    nsets,
+		setMask:  uint64(nsets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
+		lines:    make([]line, nsets*cfg.Ways),
+		banks:    make([]int64, cfg.Banks),
+		bankMask: bankMask,
+		lower:    lower,
+	}
 }
 
 // Name identifies the cache.
@@ -213,7 +227,7 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 
 func (c *Cache) index(lineAddr uint64) (set int, tag uint64) {
-	return int(lineAddr % uint64(c.nsets)), lineAddr / uint64(c.nsets)
+	return int(lineAddr & c.setMask), lineAddr >> c.setBits
 }
 
 func (c *Cache) ways() int {
@@ -240,7 +254,10 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	// a conflict is only honored within a small window — otherwise a
 	// future-timestamped access would falsely block much earlier ones.
 	const bankWindow = 4
-	b := int(lineAddr) % len(c.banks)
+	b := int(lineAddr) & c.bankMask
+	if c.bankMask < 0 {
+		b = int(lineAddr) % len(c.banks)
+	}
 	start := t
 	if c.banks[b] > start && c.banks[b]-start <= bankWindow {
 		c.stats.BankStall += c.banks[b] - start
@@ -267,7 +284,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 				if l.pend > done {
 					done = l.pend
 				} else {
-					delete(c.outstanding, lineAddr)
+					c.outstanding.del(lineAddr)
 					l.pending = false
 				}
 			}
@@ -278,7 +295,7 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 
 	// Miss. Merge with an outstanding request to the same line if any.
 	c.stats.Misses++
-	if done, ok := c.outstanding[lineAddr]; ok {
+	if done, ok := c.outstanding.get(lineAddr); ok {
 		c.stats.MergedMiss++
 		if done < start+c.cfg.HitLatency {
 			done = start + c.cfg.HitLatency
@@ -320,13 +337,9 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	// cleaned lazily on later hits, with a size-bounded sweep as backstop.
 	// An entry outlives eviction of its line, so a re-miss after eviction
 	// still merges; while the line is resident, it carries a copy.
-	c.outstanding[lineAddr] = done
-	if len(c.outstanding) > 4096 {
-		for k, v := range c.outstanding {
-			if v <= issue {
-				delete(c.outstanding, k)
-			}
-		}
+	c.outstanding.put(lineAddr, done)
+	if c.outstanding.len() > 4096 {
+		c.outstanding.sweep(issue)
 		// Clear the resident copies of the deleted entries: one sequential
 		// pass, cheaper than a set lookup per deleted entry.
 		for i := range c.lines {
@@ -357,7 +370,7 @@ func (c *Cache) install(set int, tag uint64, dirty bool, t int64) *line {
 	}
 	if ls[victim].valid && ls[victim].dirty {
 		c.stats.Writebacks++
-		victimLine := ls[victim].tag*uint64(c.nsets) + uint64(set)
+		victimLine := ls[victim].tag<<c.setBits | uint64(set)
 		if c.tr.On() {
 			c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
 				Begin: t, End: t, Addr: victimLine * LineBytes})

@@ -204,19 +204,31 @@ func TestPartitionHalvesCapacity(t *testing.T) {
 	}
 }
 
+// TestBankConflictStalls covers both bank selections: by mask for a
+// power-of-two bank count, by remainder otherwise.
 func TestBankConflictStalls(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "c", SizeBytes: 1 << 16, Ways: 4, Banks: 2, HitLatency: 1, MSHRs: 32}, DefaultDRAM())
-	// Warm two lines in the same bank.
-	c.Access(0, false, 0)
-	c.Access(2*LineBytes, false, 1000)
-	// Simultaneous hits to the same bank serialize.
-	r1 := c.Access(0, false, 2000)
-	r2 := c.Access(2*LineBytes, false, 2000)
-	if r2.Accepted <= r1.Accepted {
-		t.Fatal("same-bank accesses should serialize")
-	}
-	if c.Stats().BankStall == 0 {
-		t.Fatal("bank stall not counted")
+	for _, banks := range []int{2, 3} {
+		c := NewCache(CacheConfig{Name: "c", SizeBytes: 1 << 16, Ways: 4, Banks: banks, HitLatency: 1, MSHRs: 32}, DefaultDRAM())
+		same, other := uint64(banks)*LineBytes, uint64(1)*LineBytes
+		// Warm two lines in bank 0 and one in bank 1.
+		c.Access(0, false, 0)
+		c.Access(same, false, 1000)
+		c.Access(other, false, 1000)
+		// Simultaneous hits to the same bank serialize.
+		r1 := c.Access(0, false, 2000)
+		r2 := c.Access(same, false, 2000)
+		if r2.Accepted <= r1.Accepted {
+			t.Fatalf("%d banks: same-bank accesses should serialize", banks)
+		}
+		stall := c.Stats().BankStall
+		if stall == 0 {
+			t.Fatalf("%d banks: bank stall not counted", banks)
+		}
+		// A hit in another bank at the same time does not wait.
+		if r := c.Access(other, false, 2000); r.Accepted != 2000 || c.Stats().BankStall != stall {
+			t.Fatalf("%d banks: other-bank hit accepted at %d, stall %d -> %d",
+				banks, r.Accepted, stall, c.Stats().BankStall)
+		}
 	}
 }
 
@@ -267,7 +279,7 @@ func TestOutstandingEntryOutlivesEviction(t *testing.T) {
 }
 
 // TestPendingMirrorTracksMap checks the per-line copy of the outstanding
-// map after every access of a seeded random stream, through hits that wait
+// table after every access of a seeded random stream, through hits that wait
 // for a fill, hits that drop a stale entry, evictions, write allocations and
 // the size-bounded sweep.
 func TestPendingMirrorTracksMap(t *testing.T) {
@@ -275,15 +287,15 @@ func TestPendingMirrorTracksMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	swept := false
 	for i := 0; i < 40000; i++ {
-		// A wide address range keeps the map above the sweep threshold
+		// A wide address range keeps the table above the sweep threshold
 		// while a narrow hot range produces hits on pending lines.
 		lineAddr := uint64(rng.Intn(64))
 		if rng.Intn(2) == 0 {
 			lineAddr = uint64(rng.Intn(1 << 16))
 		}
-		n := len(c.outstanding)
+		n := c.outstanding.len()
 		c.Access(lineAddr*LineBytes, rng.Intn(8) == 0, int64(i*4))
-		if len(c.outstanding) < n-1 { // a hit drops at most one entry
+		if c.outstanding.len() < n-1 { // a hit drops at most one entry
 			swept = true
 		}
 		for j := range c.lines {
@@ -292,14 +304,14 @@ func TestPendingMirrorTracksMap(t *testing.T) {
 				continue
 			}
 			addr := l.tag*uint64(c.nsets) + uint64(j/c.cfg.Ways)
-			pend, ok := c.outstanding[addr]
+			pend, ok := c.outstanding.get(addr)
 			if l.pending != ok || (ok && l.pend != pend) {
-				t.Fatalf("access %d: line %#x pending=%v pend=%d, map has %d (present %v)",
+				t.Fatalf("access %d: line %#x pending=%v pend=%d, table has %d (present %v)",
 					i, addr, l.pending, l.pend, pend, ok)
 			}
 		}
 	}
 	if !swept {
-		t.Fatal("stream never shrank the outstanding map; the sweep went untested")
+		t.Fatal("stream never shrank the outstanding table; the sweep went untested")
 	}
 }

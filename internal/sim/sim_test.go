@@ -272,3 +272,29 @@ func TestRunAllocatesInProportionToWork(t *testing.T) {
 			float64(got)/(1<<20), limit>>20)
 	}
 }
+
+// TestVectorTraceDoesNotAllocatePerInstr guards the builder-owned vector
+// instruction: a Small() vvadd run on O3+IV streams over a thousand
+// non-indexed vector instructions through the sink to the IV engine, and
+// must allocate far fewer heap objects than it emits instructions.
+func TestVectorTraceDoesNotAllocatePerInstr(t *testing.T) {
+	k, err := workloads.ByName(workloads.Small(), "vvadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Kind: SysO3IV}
+	runOne(t, cfg, k) // warm any one-time initialisation
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := runOne(t, cfg, k)
+	runtime.ReadMemStats(&after)
+	allocs, instrs := after.Mallocs-before.Mallocs, r.Mix.VectorInstrs
+	t.Logf("%d vector instructions, %d heap allocations", instrs, allocs)
+	if instrs < 1000 {
+		t.Fatalf("vvadd on %s emitted %d vector instructions; the pin needs a long trace", cfg.Name(), instrs)
+	}
+	if allocs >= instrs/4 {
+		t.Fatalf("vvadd on %s: %d heap allocations for %d vector instructions, want under %d",
+			cfg.Name(), allocs, instrs, instrs/4)
+	}
+}

@@ -16,6 +16,10 @@ import (
 // instructions arrive with the core's current time; Handle returns when the
 // core must wait until (0 for none); Drain completes outstanding work and
 // returns the engine's finish time (0 for engines with no private clock).
+//
+// Handle must not retain in: it is the trace's isa.Event.V, which the
+// Builder reuses for the next vector instruction, so it is only valid
+// during the call.
 type Engine interface {
 	HWVL() int
 	Handle(in *isa.Instr, arrival int64) int64
