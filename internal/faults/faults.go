@@ -27,6 +27,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -79,7 +80,9 @@ func (k *Kind) UnmarshalText(b []byte) error {
 }
 
 // ParseKinds parses a comma-separated kind list ("bitflip,stuck-sa"), with
-// "all" selecting every modeled kind.
+// "all" selecting every modeled kind. A kind listed twice is an error:
+// Sites draws uniformly over the list, so a repeat would silently reweight
+// the campaign toward that kind.
 func ParseKinds(s string) ([]Kind, error) {
 	if s == "" || s == "all" {
 		return []Kind{KindBitFlip, KindStuckSA, KindWordlineDrop}, nil
@@ -89,6 +92,9 @@ func ParseKinds(s string) ([]Kind, error) {
 		var k Kind
 		if err := k.UnmarshalText([]byte(strings.TrimSpace(part))); err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, k) {
+			return nil, fmt.Errorf("faults: fault kind %q listed twice", k)
 		}
 		out = append(out, k)
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -392,4 +394,43 @@ func TestParseKinds(t *testing.T) {
 	if _, err := faults.ParseKinds("cosmic-ray"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	if got, err := faults.ParseKinds("bitflip,bitflip,stuck-sa"); err == nil {
+		t.Fatalf("duplicate kind accepted: %v", got)
+	}
+}
+
+// FuzzParseKinds holds the -kinds parser's contract on arbitrary input: it
+// never panics, a successful parse lists each kind at most once, and every
+// non-empty duplicate-free list of kinds, in any order, joined from their
+// String forms, parses back to exactly that list. pick chooses the list:
+// its low bits the length (1 to 3), the rest one of the six orders.
+func FuzzParseKinds(f *testing.F) {
+	all := []faults.Kind{faults.KindBitFlip, faults.KindStuckSA, faults.KindWordlineDrop}
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	f.Add("", uint8(0))
+	f.Add("all", uint8(2))
+	f.Add("bitflip,bitflip,stuck-sa", uint8(4))
+	f.Add(" wordline-drop , bitflip", uint8(17))
+	f.Add(",", uint8(255))
+	f.Fuzz(func(t *testing.T, csv string, pick uint8) {
+		got, err := faults.ParseKinds(csv)
+		if err == nil {
+			for i, k := range got {
+				if !slices.Contains(all, k) || slices.Contains(got[:i], k) {
+					t.Errorf("ParseKinds(%q) = %v: unknown or repeated kind %v", csv, got, k)
+				}
+			}
+		}
+
+		var want []faults.Kind
+		var names []string
+		for _, i := range orders[int(pick/3)%len(orders)][:1+pick%3] {
+			want = append(want, all[i])
+			names = append(names, all[i].String())
+		}
+		joined := strings.Join(names, ",")
+		if got, err := faults.ParseKinds(joined); err != nil || !slices.Equal(got, want) {
+			t.Errorf("ParseKinds(%q) = %v, %v; want %v", joined, got, err, want)
+		}
+	})
 }

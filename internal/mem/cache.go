@@ -51,17 +51,27 @@ type CacheStats struct {
 	Invalidates uint64
 }
 
+// line is one way of a set, packed into 24 bytes. A line address has at
+// most 58 bits (64 minus log2 LineBytes), so the tag word keeps the dirty
+// and pending flags above the tag.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// pending mirrors the outstanding table while the line is resident, so
-	// hits never consult it: pending is true exactly when outstanding holds
-	// the line's address, and pend is that entry's completion time.
-	pending bool
-	lru     uint64
-	pend    int64
+	tag uint64 // tag | lineDirty | linePending
+	// lru is the last-use tick. It doubles as the valid bit: install runs
+	// after Access has advanced the clock, so a valid line's lru is never 0.
+	lru uint64
+	// pend is the completion time of the line's outstanding miss while
+	// linePending is set.
+	pend int64
 }
+
+const (
+	lineDirty uint64 = 1 << 63
+	// linePending mirrors the outstanding table while the line is resident,
+	// so hits never consult it: it is set exactly when outstanding holds the
+	// line's address, and pend is that entry's completion time.
+	linePending uint64 = 1 << 62
+	lineFlags          = lineDirty | linePending
+)
 
 // releaseHeap is a min-heap of busy-resource release times. It implements
 // push/pop directly on int64 rather than through container/heap, whose
@@ -113,9 +123,17 @@ func (h *releaseHeap) pop() int64 {
 // Secondary misses to an outstanding line merge instead of consuming a new
 // MSHR.
 type Cache struct {
-	cfg   CacheConfig
-	lines []line // set-major: set i holds lines[i*cfg.Ways : (i+1)*cfg.Ways]
-	nsets int
+	cfg CacheConfig
+	// lines holds the allocated ways, set-major: set i owns
+	// lines[i*stride : (i+1)*stride]. The valid ways of every set form a
+	// prefix, so ways past stride would all be invalid; the array starts at
+	// one way per set and doubles (see grow) when a set needs another.
+	lines  []line
+	stride int
+	// active is min(ways(), stride): the allocated ways the replacement
+	// policy may use.
+	active int
+	nsets  int
 	// setMask and setBits split a line address into set (low bits) and
 	// tag (the rest); nsets is a power of two.
 	setMask uint64
@@ -185,7 +203,9 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 		nsets:    nsets,
 		setMask:  uint64(nsets - 1),
 		setBits:  uint(bits.TrailingZeros(uint(nsets))),
-		lines:    make([]line, nsets*cfg.Ways),
+		lines:    make([]line, nsets),
+		stride:   1,
+		active:   1,
 		banks:    make([]int64, cfg.Banks),
 		bankMask: bankMask,
 		lower:    lower,
@@ -237,10 +257,24 @@ func (c *Cache) ways() int {
 	return c.cfg.Ways
 }
 
-// set returns the ways of set i that the replacement policy may use.
+// set returns the allocated ways of set i that the replacement policy may
+// use.
 func (c *Cache) set(i int) []line {
-	base := i * c.cfg.Ways
-	return c.lines[base : base+c.ways()]
+	base := i * c.stride
+	return c.lines[base : base+c.active]
+}
+
+// grow doubles the ways allocated per set, capped at cfg.Ways, keeping each
+// set's lines in place at the front of its new stride.
+func (c *Cache) grow() {
+	stride := min(2*c.stride, c.cfg.Ways)
+	//evelint:allow hotalloc -- amortized: a cache grows at most ceil(log2(cfg.Ways)) times, and its arrays together total under three times the final one
+	lines := make([]line, c.nsets*stride)
+	for s := 0; s < c.nsets; s++ {
+		copy(lines[s*stride:], c.lines[s*c.stride:(s+1)*c.stride])
+	}
+	c.lines, c.stride = lines, stride
+	c.active = min(c.ways(), stride)
 }
 
 // Access implements Level.
@@ -271,21 +305,21 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 	ls := c.set(set)
 	c.clock++
 	for i := range ls {
-		if ls[i].valid && ls[i].tag == tag {
+		if l := &ls[i]; l.tag&^lineFlags == tag && l.lru != 0 {
 			c.stats.Hits++
-			ls[i].lru = c.clock
+			l.lru = c.clock
 			if write {
-				ls[i].dirty = true
+				l.tag |= lineDirty
 			}
 			done := start + c.cfg.HitLatency
 			// A line installed by an in-flight miss is not actually present
 			// until its fill completes; late hits wait for it.
-			if l := &ls[i]; l.pending {
+			if l.tag&linePending != 0 {
 				if l.pend > done {
 					done = l.pend
 				} else {
 					c.outstanding.del(lineAddr)
-					l.pending = false
+					l.tag &^= linePending
 				}
 			}
 			c.tr.SpanAddr(probe.KAccess, "hit", start, done, lineAddr*LineBytes)
@@ -343,24 +377,25 @@ func (c *Cache) Access(addr uint64, write bool, t int64) Result {
 		// Clear the resident copies of the deleted entries: one sequential
 		// pass, cheaper than a set lookup per deleted entry.
 		for i := range c.lines {
-			if l := &c.lines[i]; l.pending && l.pend <= issue {
-				l.pending = false
+			if l := &c.lines[i]; l.tag&linePending != 0 && l.pend <= issue {
+				l.tag &^= linePending
 			}
 		}
 	}
 	l := c.install(set, tag, write, done)
-	l.pending, l.pend = true, done
+	l.tag |= linePending
+	l.pend = done
 	c.tr.SpanAddr(probe.KAccess, "miss", start, done, lineAddr*LineBytes)
 	return Result{Accepted: issue, Done: done}
 }
 
-// install places the fetched line, evicting the LRU victim (writing it back
-// if dirty), and returns it.
+// install places the fetched line in the first invalid way, or else evicts
+// the LRU victim (writing it back if dirty), and returns it.
 func (c *Cache) install(set int, tag uint64, dirty bool, t int64) *line {
 	ls := c.set(set)
 	victim := 0
 	for i := range ls {
-		if !ls[i].valid {
+		if ls[i].lru == 0 {
 			victim = i
 			break
 		}
@@ -368,16 +403,28 @@ func (c *Cache) install(set int, tag uint64, dirty bool, t int64) *line {
 			victim = i
 		}
 	}
-	if ls[victim].valid && ls[victim].dirty {
+	if ls[victim].lru != 0 && len(ls) < c.ways() {
+		// Every allocated way is valid but the policy may use more. The
+		// ways past stride are all invalid, so the first of them is the
+		// victim a full-size array would pick.
+		victim = len(ls)
+		c.grow()
+		ls = c.set(set)
+	}
+	// An invalid way is all zeros, so a set dirty flag implies a valid line.
+	if v := ls[victim].tag; v&lineDirty != 0 {
 		c.stats.Writebacks++
-		victimLine := ls[victim].tag<<c.setBits | uint64(set)
+		victimLine := (v&^lineFlags)<<c.setBits | uint64(set)
 		if c.tr.On() {
 			c.tr.Emit(probe.Event{Kind: probe.KWriteback, Name: "writeback",
 				Begin: t, End: t, Addr: victimLine * LineBytes})
 		}
 		c.lower.Access(victimLine*LineBytes, true, t)
 	}
-	ls[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	if dirty {
+		tag |= lineDirty
+	}
+	ls[victim] = line{tag: tag, lru: c.clock}
 	return &ls[victim]
 }
 
@@ -390,15 +437,17 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 		ways = c.cfg.Ways
 	}
 	// Ways past the current partition are already empty (the previous
-	// Partition cleared them and install never reaches them), so only the
-	// active ways beyond the new size need invalidating.
+	// Partition cleared them and install never reaches them), and so are
+	// ways past stride, so only the active allocated ways beyond the new
+	// size need invalidating. Clearing a suffix keeps each set's valid ways
+	// a prefix.
 	for s := 0; s < c.nsets; s++ {
 		ls := c.set(s)
 		for w := ways; w < len(ls); w++ {
 			l := &ls[w]
-			if l.valid {
+			if l.lru != 0 {
 				invalidated++
-				if l.dirty {
+				if l.tag&lineDirty != 0 {
 					dirty++
 				}
 				c.stats.Invalidates++
@@ -407,6 +456,7 @@ func (c *Cache) Partition(ways int) (invalidated, dirty int) {
 		}
 	}
 	c.partitionWays = ways
+	c.active = min(ways, c.stride)
 	return invalidated, dirty
 }
 
@@ -415,7 +465,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set, tag := c.index(lineAddr)
 	for _, l := range c.set(set) {
-		if l.valid && l.tag == tag {
+		if l.tag&^lineFlags == tag && l.lru != 0 {
 			return true
 		}
 	}

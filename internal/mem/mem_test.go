@@ -300,14 +300,14 @@ func TestPendingMirrorTracksMap(t *testing.T) {
 		}
 		for j := range c.lines {
 			l := &c.lines[j]
-			if !l.valid {
+			if l.lru == 0 {
 				continue
 			}
-			addr := l.tag*uint64(c.nsets) + uint64(j/c.cfg.Ways)
+			addr := (l.tag&^lineFlags)*uint64(c.nsets) + uint64(j/c.stride)
 			pend, ok := c.outstanding.get(addr)
-			if l.pending != ok || (ok && l.pend != pend) {
+			if pending := l.tag&linePending != 0; pending != ok || (ok && l.pend != pend) {
 				t.Fatalf("access %d: line %#x pending=%v pend=%d, table has %d (present %v)",
-					i, addr, l.pending, l.pend, pend, ok)
+					i, addr, pending, l.pend, pend, ok)
 			}
 		}
 	}

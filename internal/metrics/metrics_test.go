@@ -287,3 +287,77 @@ func TestNonEVESystemHasNoShares(t *testing.T) {
 		t.Errorf("O3 cell derived Fig 7 shares: %v", d.Fig7Shares)
 	}
 }
+
+// TestCheckLawsFlagsBrokenCounters feeds CheckLaws snapshots that break
+// each law at one level and requires exactly that violation back.
+func TestCheckLawsFlagsBrokenCounters(t *testing.T) {
+	level := func(acc, hits, misses, merged float64) statmap {
+		return statmap{"accesses": acc, "hits": hits, "misses": misses, "merged_misses": merged}
+	}
+	cases := []struct {
+		name string
+		l2   statmap
+		want string
+	}{
+		{"conserved", level(10, 6, 4, 4), ""},
+		{"lost-miss", level(10, 6, 3, 1), "l2: hits 6 + misses 3 != accesses 10"},
+		{"extra-merge", level(10, 6, 4, 5), "l2: merged_misses 5 > misses 4"},
+	}
+	for _, tc := range cases {
+		st := snapshot(t, map[string]statmap{"l1d": level(3, 2, 1, 0), "l2": tc.l2})
+		got := strings.Join(metrics.CheckLaws(st), "; ")
+		if got != tc.want {
+			t.Errorf("%s: CheckLaws = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	if v := metrics.CheckLaws(nil); v != nil {
+		t.Errorf("empty snapshot: %v", v)
+	}
+}
+
+// TestLawsHoldOnEveryCell checks the conservation laws on the end-of-run
+// snapshot of every Small() kernel on every Table III system. Small() cells
+// never merge a miss, so default-size spmv (merges at the L1D) and k-means
+// on O3+DV and O3+EVE-8 (at the L2 and the LLC) ride along, and the test
+// requires each level to have merged somewhere: the law over merged misses
+// must not hold only vacuously.
+func TestLawsHoldOnEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix run in -short mode")
+	}
+	type cell struct {
+		k   *workloads.Kernel
+		cfg sim.Config
+	}
+	var cells []cell
+	for _, k := range workloads.Small() {
+		for _, cfg := range sim.AllSystems() {
+			cells = append(cells, cell{k, cfg})
+		}
+	}
+	cells = append(cells,
+		cell{workloads.NewSpMV(2048, 1<<16, 16), sim.Config{Kind: sim.SysO3}},
+		cell{workloads.NewKMeans(16384, 34, 5), sim.Config{Kind: sim.SysO3DV}},
+		cell{workloads.NewKMeans(16384, 34, 5), sim.Config{Kind: sim.SysO3EVE, N: 8}})
+	levels := []string{"l1d", "l2", "llc"}
+	merged := map[string]bool{}
+	for _, c := range cells {
+		r := sim.Run(c.cfg, c.k)
+		if r.Err != nil {
+			t.Fatalf("%s on %s: %v", c.k.Name, c.cfg.Name(), r.Err)
+		}
+		for _, v := range metrics.CheckLaws(r.Stats) {
+			t.Errorf("%s on %s: %s", c.k.Name, c.cfg.Name(), v)
+		}
+		for _, lvl := range levels {
+			if n, _ := r.Stats.Int(lvl + ".merged_misses"); n > 0 {
+				merged[lvl] = true
+			}
+		}
+	}
+	for _, lvl := range levels {
+		if !merged[lvl] {
+			t.Errorf("no cell merged a miss at %s", lvl)
+		}
+	}
+}
